@@ -13,10 +13,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return special.expit(z)
 
 
-def logit(p: np.ndarray) -> np.ndarray:
-    return special.logit(p)
-
-
 def clamp_probability(p: np.ndarray, eps: float) -> np.ndarray:
     """Clamp probabilities into [eps, 1 - eps] so their logit is finite."""
     return np.clip(p, eps, 1.0 - eps)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import distillaudit as da
 from distillaudit.missing import (
     CorrelationInterval,
     EVIDENCE_MARGIN,
+    _bootstrap,
     _verdict,
     error_pairs,
     load_error_pairs_csv,
@@ -95,6 +97,11 @@ class TestCorrelationTest:
             da.correlation_test(ok, ok, resamples=50)
         with pytest.raises(da.DataError, match="pearson_ci"):
             da.correlation_test(ok, ok, pearson_ci="exact")
+        # Each margin varies in one row only, so most resamples miss one of them.
+        lone = np.zeros(30)
+        lone[0] = 1.0
+        with pytest.raises(da.DegenerateStatisticsError, match="too many degenerate"):
+            da.correlation_test(lone, np.roll(lone, 1), resamples=400)
 
     def test_json_dict_shape(self):
         rng = np.random.default_rng(5)
@@ -103,6 +110,94 @@ class TestCorrelationTest:
         blob = result.to_json_dict()
         assert set(blob) == {"pearson", "spearman", "kendall", "verdict", "n_pairs", "resamples"}
         assert len(blob["pearson"]["ci"]) == 2
+
+
+def reference_bootstrap(a, b, resamples, seed):
+    """Gather each resample's rows and call scipy three times on them."""
+    n = len(a)
+    rng = np.random.default_rng(seed)
+    boots = np.full((resamples, 3), np.nan)
+    for r in range(resamples):
+        idx = rng.integers(0, n, size=n)
+        ar, br = a[idx], b[idx]
+        if np.ptp(ar) == 0.0 or np.ptp(br) == 0.0:
+            continue
+        boots[r] = (
+            stats.pearsonr(ar, br).statistic,
+            stats.spearmanr(ar, br).statistic,
+            stats.kendalltau(ar, br).statistic,
+        )
+    return boots
+
+
+def reference_intervals(a, b, boots):
+    estimates = (
+        stats.pearsonr(a, b).statistic,
+        stats.spearmanr(a, b).statistic,
+        stats.kendalltau(a, b).statistic,
+    )
+    intervals = []
+    for col, est in zip(boots.T, estimates):
+        lo, hi = np.percentile(col[~np.isnan(col)], [2.5, 97.5])
+        intervals.append(CorrelationInterval(est, min(lo, est), max(hi, est)))
+    return intervals
+
+
+def tie_heavy(seed, n=36):
+    """Values in {0, 1, 2}; ``a`` is non-zero in two rows only, so that about
+    one resample in eight draws neither and is constant."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(n)
+    a[rng.choice(n, size=2, replace=False)] = [1.0, 2.0]
+    return a, rng.choice(3, size=n).astype(float)
+
+
+def continuous(seed, n=2000):
+    rng = np.random.default_rng(seed)
+    a = rng.exponential(size=n)
+    return a, 0.3 * a + rng.exponential(size=n)
+
+
+def rounded(seed, n=150):
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.exponential(size=n), 1)
+    return a, np.round(0.2 * a + rng.exponential(size=n), 1)
+
+
+ORACLE_CASES = (
+    [("tie-heavy", tie_heavy, 0, 400), ("continuous", continuous, 1, 200)]
+    + [(f"rounded-{s}", rounded, s, 200) for s in range(6)]
+)
+
+
+class TestBootstrapOracle:
+    """The counts-based bootstrap against the per-resample scipy loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "make, seed, resamples", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_matches_scipy_on_gathered_rows(self, make, seed, resamples):
+        a, b = make(seed)
+        got = _bootstrap(a, b, resamples, seed)
+        want = reference_bootstrap(a, b, resamples, seed)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(got[:, 2], want[:, 2])
+        np.testing.assert_allclose(got[:, :2], want[:, :2], rtol=0, atol=1e-12)
+
+        result = da.correlation_test(a, b, resamples=resamples, seed=seed)
+        expected = reference_intervals(a, b, want)
+        assert (result.kendall.lower, result.kendall.upper) == (
+            expected[2].lower,
+            expected[2].upper,
+        )
+        for iv, ref in zip((result.pearson, result.spearman), expected[:2]):
+            assert iv.lower == pytest.approx(ref.lower, rel=0, abs=1e-12)
+            assert iv.upper == pytest.approx(ref.upper, rel=0, abs=1e-12)
+        assert result.verdict == _verdict(expected)
+
+    def test_tie_heavy_input_has_degenerate_resamples(self):
+        a, b = tie_heavy(0)
+        assert np.isnan(_bootstrap(a, b, 400, 0)[:, 0]).any()
 
 
 def hidden_pipeline(strength, hidden, n_rows=4000, seed=0):
