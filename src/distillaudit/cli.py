@@ -14,6 +14,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import decide_calibration, diagnose, fit_calibration
@@ -45,14 +50,33 @@ EXIT_TRAINING = 4
 EXIT_DEGENERATE = 5
 
 
+def _max_rss_mib() -> float | None:
+    """This process's peak resident set so far, or None where it is unknown."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)  # bytes there, KiB elsewhere
+
+
 class _Stage:
-    """Mutable marker naming the pipeline stage an error belongs to."""
+    """The pipeline stage an error belongs to, and the time and peak memory
+    of every stage so far."""
 
     def __init__(self) -> None:
         self.name = "startup"
+        self.started = time.perf_counter()
+        self.finished: list[dict] = []
 
     def at(self, name: str) -> None:
+        self.close()
         self.name = name
+
+    def close(self) -> list[dict]:
+        """End the current stage; returns every ended stage, oldest first."""
+        now = time.perf_counter()
+        self.finished.append({"name": self.name, "seconds": now - self.started, "max_rss_mib": _max_rss_mib()})
+        self.started = now
+        return self.finished
 
 
 def _read_config_file(path: str | None) -> tuple[dict, dict]:
@@ -134,7 +158,7 @@ def cmd_calibrate(args, stage: _Stage) -> int:
     data, _, _ = _load_dataset(args, stage)
     out_dir = Path(args.out)
     decision, _, cmap = _calibration_stage(data, args.calibration, out_dir, stage)
-    _write_run_meta(out_dir, started)
+    _write_run_meta(out_dir, started, stage)
     applied = "calibrated" if decision["applied"] else "not calibrated"
     print(f"calibration: {applied} ({decision['reason']})")
     if cmap is not None:
@@ -199,7 +223,7 @@ def cmd_audit(args, stage: _Stage) -> int:
         data, config_echo, decision, diag_raw, summary, fidelities, missing_json, artifacts
     )
     path = write_report(out_dir, report)
-    _write_run_meta(out_dir, started, jobs=args.jobs)
+    _write_run_meta(out_dir, started, stage, jobs=args.jobs)
 
     for fm in fidelities:
         auc_txt = "n/a" if fm.outcome_auc_mean is None else f"{fm.outcome_auc_mean:.4f}"
@@ -224,7 +248,7 @@ def cmd_test_missing(args, stage: _Stage) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(out_dir / "missing_test.json", result.to_json_dict())
-    _write_run_meta(out_dir, started)
+    _write_run_meta(out_dir, started, stage)
     for name, iv in (("pearson", result.pearson), ("spearman", result.spearman), ("kendall", result.kendall)):
         print(f"{name}: {iv.estimate:.4f} [{iv.lower:.4f}, {iv.upper:.4f}]")
     print(f"verdict: {result.verdict}")
@@ -250,12 +274,16 @@ def cmd_gen_synthetic(args, stage: _Stage) -> int:
     return 0
 
 
-def _write_run_meta(out_dir: Path, started: float, **extra) -> None:
+def _write_run_meta(out_dir: Path, started: float, stage: _Stage, **extra) -> None:
+    """Write run_meta.json: when the run ran and, per stage, its wall seconds
+    and the process's peak resident set at its end (``max_rss_mib``), so the
+    first stage that reaches the final value is the one that set the peak."""
     meta = {
         "package_version": __version__,
         "started_unix": started,
         "finished_unix": time.time(),
         "duration_seconds": time.time() - started,
+        "stages": stage.close(),
     }
     meta.update(extra)
     with open(out_dir / "run_meta.json", "w", encoding="utf-8") as fh:

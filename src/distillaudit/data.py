@@ -216,65 +216,67 @@ def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset
         except StopIteration:
             raise DataError("empty file") from None
         header = [h.strip() for h in header]
-        rows = [r for r in reader if r]
 
-    if config.score_column not in header:
-        raise DataError(f"missing score column {config.score_column!r}")
-    if config.outcome_column not in header:
-        raise DataError(f"missing outcome column {config.outcome_column!r}")
-    if config.feature_columns is not None:
-        missing = [c for c in config.feature_columns if c not in header]
-        if missing:
-            raise ConfigError(f"feature columns not in file: {missing}")
-        feature_names = tuple(config.feature_columns)
-    else:
-        feature_names = tuple(
-            h for h in header if h not in (config.score_column, config.outcome_column)
-        )
-    for name in config.feature_types:
-        if name not in feature_names:
-            raise ConfigError(f"type override for unknown feature {name!r}")
-
-    col_idx = {h: i for i, h in enumerate(header)}
-    markers = config.missing_markers
-    score_i = col_idx[config.score_column]
-    outcome_i = col_idx[config.outcome_column]
-
-    scores: list[float] = []
-    outcomes: list[float] = []
-    raw_features: dict[str, list[str | None]] = {n: [] for n in feature_names}
-    rejected = 0
-    for r in rows:
-        if len(r) != len(header):
-            rejected += 1
-            continue
-        cell = r[score_i]
-        if _is_missing(cell, markers):
-            rejected += 1
-            continue
-        try:
-            s = float(cell)
-        except ValueError:
-            rejected += 1
-            continue
-        if not np.isfinite(s):
-            rejected += 1
-            continue
-        o_cell = r[outcome_i]
-        if _is_missing(o_cell, markers):
-            o = float("nan")
+        if config.score_column not in header:
+            raise DataError(f"missing score column {config.score_column!r}")
+        if config.outcome_column not in header:
+            raise DataError(f"missing outcome column {config.outcome_column!r}")
+        if config.feature_columns is not None:
+            missing = [c for c in config.feature_columns if c not in header]
+            if missing:
+                raise ConfigError(f"feature columns not in file: {missing}")
+            feature_names = tuple(config.feature_columns)
         else:
+            feature_names = tuple(
+                h for h in header if h not in (config.score_column, config.outcome_column)
+            )
+        for name in config.feature_types:
+            if name not in feature_names:
+                raise ConfigError(f"type override for unknown feature {name!r}")
+
+        col_idx = {h: i for i, h in enumerate(header)}
+        markers = config.missing_markers
+        score_i = col_idx[config.score_column]
+        outcome_i = col_idx[config.outcome_column]
+        feature_cells = [(name, col_idx[name]) for name in feature_names]
+
+        scores: list[float] = []
+        outcomes: list[float] = []
+        raw_features: dict[str, list[str | None]] = {n: [] for n in feature_names}
+        rejected = 0
+        for r in reader:
+            if not r:
+                continue
+            if len(r) != len(header):
+                rejected += 1
+                continue
+            cell = r[score_i]
+            if _is_missing(cell, markers):
+                rejected += 1
+                continue
             try:
-                o = float(o_cell)
+                s = float(cell)
             except ValueError:
-                raise DataError(f"non-binary outcome value {o_cell!r}") from None
-            if o not in (0.0, 1.0):
-                raise DataError(f"non-binary outcome value {o_cell!r}")
-        scores.append(s)
-        outcomes.append(o)
-        for name in feature_names:
-            c = r[col_idx[name]]
-            raw_features[name].append(None if _is_missing(c, markers) else c.strip())
+                rejected += 1
+                continue
+            if not np.isfinite(s):
+                rejected += 1
+                continue
+            o_cell = r[outcome_i]
+            if _is_missing(o_cell, markers):
+                o = float("nan")
+            else:
+                try:
+                    o = float(o_cell)
+                except ValueError:
+                    raise DataError(f"non-binary outcome value {o_cell!r}") from None
+                if o not in (0.0, 1.0):
+                    raise DataError(f"non-binary outcome value {o_cell!r}")
+            scores.append(s)
+            outcomes.append(o)
+            for name, i in feature_cells:
+                c = r[i]
+                raw_features[name].append(None if _is_missing(c, markers) else c.strip())
 
     if not scores:
         raise DataError("no usable rows (every row was rejected or the file had none)")

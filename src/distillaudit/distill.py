@@ -14,13 +14,22 @@ held-out error pairs in :mod:`distillaudit.missing`.
 
 Rows without an outcome label still train the mimic models; outcome models
 see only labeled rows.
+
+Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
+models through one dispatcher. A task names only its family and bag (and,
+for pair fits, carries the bag's main model). The binned matrix, targets,
+labeled mask, plan and config reach each ``--jobs`` worker once, through the
+pool initializer: inherited under ``fork``, pickled once per worker under
+``spawn``. Each fit gathers its own bag's rows, so the memory of the calling
+process does not grow with K x L. With ``jobs=1`` the same function runs
+in-process. Outcome fits, the slower family, are submitted first.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,37 +200,96 @@ class PairedEnsembles:
                     model.save(directory / f"{name}_k{k}_l{l}.json")
 
 
-def _bag_rows(plan: BagPlan, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of bag (k, l) as (all rows, local validation indices)."""
+def _bag_rows(
+    plan: BagPlan, k: int, l: int, labeled: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of bag (k, l), training rows first, and the local indices of its
+    validation rows. With a ``labeled`` mask, only labeled rows count."""
     train = plan.train[k][l]
     valid = plan.valid[k][l]
+    if labeled is not None:
+        train = train[labeled[train]]
+        valid = valid[labeled[valid]]
     rows = np.concatenate([train, valid])
-    local_valid = np.arange(len(train), len(rows))
-    return rows, local_valid
+    return rows, np.arange(len(train), len(rows))
 
 
-def _train_one(args) -> AdditiveModel:
-    link, X, y, config, local_valid = args
+@dataclass(frozen=True, eq=False)
+class _BagData:
+    """What every fit of one audit shares; each worker receives it once."""
+
+    X: BinnedMatrix
+    targets: dict[str, np.ndarray]  # link -> targets of every row
+    labeled: np.ndarray
+    plan: BagPlan
+    config: TrainConfig
+    pairs: tuple[tuple[int, int], ...] = ()
+
+
+# Outcome fits take longer than mimic fits (about three times as long on a
+# 12,000-row table), so they are dispatched first and no long fit starts last.
+_FAMILIES = (LOGISTIC, IDENTITY)
+
+
+def _fit_bag(data: _BagData, link: str, k: int, l: int, model: AdditiveModel | None) -> AdditiveModel:
+    """Fit bag (k, l) of one family: main effects, or ``model``'s pair grids."""
+    rows, local_valid = _bag_rows(data.plan, k, l, data.labeled if link == LOGISTIC else None)
+    X = data.X.take(rows)
+    y = data.targets[link][rows]
+    if model is not None:
+        pairs = data.pairs
+        return fit_interactions(model, X, y, len(pairs), data.config, validation=local_valid, pairs=pairs)
     if link == IDENTITY:
-        return train_regressor(X, y, config, validation=local_valid)
-    return train_classifier(X, y, config, validation=local_valid)
+        return train_regressor(X, y, data.config, validation=local_valid)
+    return train_classifier(X, y, data.config, validation=local_valid)
 
 
-def _mimic_task(X, mimic_targets, plan, k, l, config):
-    rows, local_valid = _bag_rows(plan, k, l)
-    return (IDENTITY, X.take(rows), mimic_targets[rows], config, local_valid)
+_worker_data: _BagData | None = None  # set in pool workers only, by _init_worker
 
 
-def _outcome_task(X, outcome, labeled, plan, k, l, config):
-    train = plan.train[k][l]
-    valid = plan.valid[k][l]
-    tr = train[labeled[train]]
-    va = valid[labeled[valid]]
-    if len(tr) == 0 or len(va) == 0:
-        raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
-    rows = np.concatenate([tr, va])
-    local_valid = np.arange(len(tr), len(rows))
-    return (LOGISTIC, X.take(rows), outcome[rows], config, local_valid)
+def _init_worker(data: _BagData) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _worker_fit(link: str, k: int, l: int, model: AdditiveModel | None) -> AdditiveModel:
+    return _fit_bag(_worker_data, link, k, l, model)
+
+
+def _fit_grid(
+    data: _BagData, jobs: int, base: PairedEnsembles | None = None
+) -> dict[str, list[list[AdditiveModel]]]:
+    """Fit every bag of both families, in a pool when ``jobs`` > 1; returns
+    each family's K x L model grid, keyed by link.
+
+    Tasks carry only (link, k, l) and, for pair fits, the bag's main model
+    from ``base``; the shared data reaches each worker once.
+    """
+    plan = data.plan
+    bases = {} if base is None else {IDENTITY: base.mimic, LOGISTIC: base.outcome}
+    tasks = [
+        (link, k, l, bases[link].models[k][l] if bases else None)
+        for link in _FAMILIES
+        for k in range(plan.K)
+        for l in range(plan.L)
+    ]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
+            results = list(pool.map(_worker_fit, *zip(*tasks)))
+    else:
+        results = [_fit_bag(data, *task) for task in tasks]
+    fitted = {task[:3]: model for task, model in zip(tasks, results)}
+    return {
+        link: [[fitted[(link, k, l)] for l in range(plan.L)] for k in range(plan.K)] for link in _FAMILIES
+    }
+
+
+def _bag_data(
+    data: AuditDataset, X: BinnedMatrix, calibration: CalibrationMap | None, plan: BagPlan, config: TrainConfig
+) -> _BagData:
+    """Mimic targets are the raw scores, or their calibrated log odds."""
+    mimic_targets = calibration.apply(data.score) if calibration else data.score
+    return _BagData(X, {IDENTITY: mimic_targets, LOGISTIC: data.outcome}, data.has_outcome, plan, config)
 
 
 def train_paired(
@@ -245,28 +313,15 @@ def train_paired(
         raise DataError("bag plan was made for a different number of rows")
     schema = schema or fit_schema(data)
     X = bin_dataset(data, schema)
-    mimic_targets = calibration.apply(data.score) if calibration else data.score.copy()
     labeled = data.has_outcome
     if not labeled.any():
         raise DataError("no labeled rows; the outcome ensemble cannot be trained")
-
-    tasks = []
     for k in range(plan.K):
         for l in range(plan.L):
-            tasks.append(_mimic_task(X, mimic_targets, plan, k, l, config))
-    for k in range(plan.K):
-        for l in range(plan.L):
-            tasks.append(_outcome_task(X, data.outcome, labeled, plan, k, l, config))
+            if not (labeled[plan.train[k][l]].any() and labeled[plan.valid[k][l]].any()):
+                raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_train_one, tasks, chunksize=1))
-    else:
-        results = [_train_one(t) for t in tasks]
-
-    n = plan.K * plan.L
-    mimic_models = [results[k * plan.L : (k + 1) * plan.L] for k in range(plan.K)]
-    outcome_models = [results[n + k * plan.L : n + (k + 1) * plan.L] for k in range(plan.K)]
+    models = _fit_grid(_bag_data(data, X, calibration, plan, config), jobs)
     mass = [X.bin_mass(j) for j in range(schema.n_features)]
     meta = {
         "calibrated": calibration is not None,
@@ -275,32 +330,14 @@ def train_paired(
         "config": {f: getattr(config, f) for f in TrainConfig.__dataclass_fields__},
     }
     return PairedEnsembles(
-        BagEnsemble(mimic_models, IDENTITY, schema),
-        BagEnsemble(outcome_models, LOGISTIC, schema),
+        BagEnsemble(models[IDENTITY], IDENTITY, schema),
+        BagEnsemble(models[LOGISTIC], LOGISTIC, schema),
         plan,
         schema,
         calibration,
         mass,
         meta,
     )
-
-
-def _interaction_task(model, X, y, plan, k, l, config, pairs, labeled=None):
-    if labeled is None:
-        rows, local_valid = _bag_rows(plan, k, l)
-    else:
-        train = plan.train[k][l]
-        valid = plan.valid[k][l]
-        tr = train[labeled[train]]
-        va = valid[labeled[valid]]
-        rows = np.concatenate([tr, va])
-        local_valid = np.arange(len(tr), len(rows))
-    return (model, X.take(rows), y[rows], config, local_valid, pairs)
-
-
-def _fit_interactions_one(args) -> AdditiveModel:
-    model, X, y, config, local_valid, pairs = args
-    return fit_interactions(model, X, y, len(pairs), config, validation=local_valid, pairs=pairs)
 
 
 def with_interactions(
@@ -321,46 +358,23 @@ def with_interactions(
     config = config or TrainConfig()
     plan = paired.plan
     X = bin_dataset(data, paired.schema)
-    mimic_targets = paired.calibration.apply(data.score) if paired.calibration else data.score.copy()
-    labeled = data.has_outcome
+    shared = _bag_data(data, X, paired.calibration, plan, config)
 
     p = paired.schema.n_features
     if n_pairs > p * (p - 1) // 2:
         raise ConfigError(f"n_pairs={n_pairs} exceeds the {p * (p - 1) // 2} available pairs")
     rows00, _ = _bag_rows(plan, 0, 0)
-    ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets, rows=rows00)
+    ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=rows00)
     pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
 
-    tasks = []
-    for k in range(plan.K):
-        for l in range(plan.L):
-            tasks.append(
-                _interaction_task(paired.mimic.models[k][l], X, mimic_targets, plan, k, l, config, pairs)
-            )
-    for k in range(plan.K):
-        for l in range(plan.L):
-            tasks.append(
-                _interaction_task(
-                    paired.outcome.models[k][l], X, data.outcome, plan, k, l, config, pairs, labeled
-                )
-            )
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fit_interactions_one, tasks, chunksize=1))
-    else:
-        results = [_fit_interactions_one(t) for t in tasks]
-
-    n = plan.K * plan.L
-    mimic_models = [results[k * plan.L : (k + 1) * plan.L] for k in range(plan.K)]
-    outcome_models = [results[n + k * plan.L : n + (k + 1) * plan.L] for k in range(plan.K)]
+    models = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
     meta = dict(paired.meta)
     meta["interaction_pairs"] = [
         {"i": i, "j": j, "names": [paired.schema.names[i], paired.schema.names[j]]} for i, j in pairs
     ]
     return PairedEnsembles(
-        BagEnsemble(mimic_models, IDENTITY, paired.schema),
-        BagEnsemble(outcome_models, LOGISTIC, paired.schema),
+        BagEnsemble(models[IDENTITY], IDENTITY, paired.schema),
+        BagEnsemble(models[LOGISTIC], LOGISTIC, paired.schema),
         plan,
         paired.schema,
         paired.calibration,

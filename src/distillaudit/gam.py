@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import BinnedMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError
-from .stats import mean_nll, sigmoid
+from .stats import binary_mean_nll, mean_nll, sigmoid
 
 IDENTITY = "identity"
 LOGISTIC = "logistic"
@@ -176,34 +176,39 @@ class AdditiveModel:
             return cls.from_json_dict(json.load(fh))
 
 
+def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
+    """Best single cut of the segment starting at bin ``lo``, given its prefix
+    sums of gradients ``cg`` and Hessians ``cd``: returns (gain, cut) or None.
+
+    Hessians are non-negative, so ``cd`` never decreases and the cuts that
+    leave more than ``_MIN_HESSIAN`` on both sides form one contiguous run.
+    """
+    if len(cg) < 2:
+        return None
+    total_g = cg[-1]
+    total_d = cd[-1]
+    if total_d <= _MIN_HESSIAN:
+        return None
+    dl = cd[:-1]
+    dr = total_d - dl
+    start = int(np.searchsorted(dl, _MIN_HESSIAN, side="right"))
+    stop = int(np.count_nonzero(dr > _MIN_HESSIAN))
+    if start >= stop:
+        return None
+    gl = cg[start:stop]
+    gains = gl**2 / dl[start:stop] + (total_g - gl) ** 2 / dr[start:stop] - total_g**2 / total_d
+    t = int(np.argmax(gains))
+    return float(gains[t]), lo + start + t + 1
+
+
 def _split_segment(sum_g: np.ndarray, denom: np.ndarray, lo: int, hi: int):
     """Best single cut of bins [lo, hi): returns (gain, cut) or None.
 
     Gain is the squared-error reduction S_l^2/D_l + S_r^2/D_r - S^2/D. Cuts
     leaving an empty side are invalid; ties resolve to the lowest cut.
+    ``denom`` must be non-negative.
     """
-    g = sum_g[lo:hi]
-    d = denom[lo:hi]
-    if len(g) < 2:
-        return None
-    cg = np.cumsum(g)
-    cd = np.cumsum(d)
-    total_g = cg[-1]
-    total_d = cd[-1]
-    if total_d <= _MIN_HESSIAN:
-        return None
-    gl, dl = cg[:-1], cd[:-1]
-    gr, dr = total_g - gl, total_d - dl
-    valid = (dl > _MIN_HESSIAN) & (dr > _MIN_HESSIAN)
-    if not valid.any():
-        return None
-    gains = np.where(
-        valid,
-        gl**2 / np.maximum(dl, _MIN_HESSIAN) + gr**2 / np.maximum(dr, _MIN_HESSIAN) - total_g**2 / total_d,
-        -np.inf,
-    )
-    t = int(np.argmax(gains))
-    return float(gains[t]), lo + t + 1
+    return _best_cut(np.cumsum(sum_g[lo:hi]), np.cumsum(denom[lo:hi]), lo)
 
 
 def _best_tree(
@@ -213,20 +218,33 @@ def _best_tree(
 
     Returns segment boundaries [0, c_1, ..., B]; a result of [0, B] means no
     worthwhile split exists. Every accepted split must gain more than
-    ``min_gain``.
+    ``min_gain``. Each segment's best cut is found once; a left child takes
+    its parent's prefix sums, which ``np.cumsum`` makes bit-equal to its own.
     """
+
+    def segment(lo: int, hi: int):
+        cg, cd = np.cumsum(sum_g[lo:hi]), np.cumsum(denom[lo:hi])
+        return cg, cd, _best_cut(cg, cd, lo)
+
     bounds = [0, len(sum_g)]
+    segments = [segment(0, len(sum_g))]
     for _ in range(max_leaves - 1):
         best = None
         best_at = 0
-        for si, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            cand = _split_segment(sum_g, denom, lo, hi)
+        for si, (_, _, cand) in enumerate(segments):
             if cand is not None and (best is None or cand[0] > best[0]):
                 best = cand
                 best_at = si
         if best is None or best[0] <= min_gain:
             break
-        bounds.insert(best_at + 1, best[1])
+        cut = best[1]
+        lo, hi = bounds[best_at], bounds[best_at + 1]
+        bounds.insert(best_at + 1, cut)
+        if len(bounds) > max_leaves:
+            break
+        cg, cd, _ = segments[best_at]
+        left = (cg[: cut - lo], cd[: cut - lo], _best_cut(cg[: cut - lo], cd[: cut - lo], lo))
+        segments[best_at : best_at + 1] = [left, segment(cut, hi)]
     return bounds
 
 
@@ -269,6 +287,19 @@ def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
     return shift
 
 
+def _noise_scale(grad: np.ndarray, hess: np.ndarray | None = None) -> float:
+    """Scale of the entry gate: the residual variance, or with Hessians its
+    Newton analog."""
+    if hess is None:
+        return float(grad @ grad) / len(grad)
+    return float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
+
+
+def _columns(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bin codes of ``rows`` as one contiguous ``intp`` row per feature."""
+    return np.array(codes[rows].T, dtype=np.intp, order="C")
+
+
 def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str) -> AdditiveModel:
     y = np.asarray(targets, dtype=float)
     if len(y) != X.n_rows:
@@ -279,11 +310,9 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
 
     schema = X.schema
     p = schema.n_features
-    Xt = X.codes[train_rows]
+    Ct = _columns(X.codes, train_rows)
     yt = y[train_rows]
-    counts = [
-        np.bincount(Xt[:, j], minlength=schema.n_bins(j)).astype(float) for j in range(p)
-    ]
+    counts = [np.bincount(Ct[j], minlength=schema.n_bins(j)).astype(float) for j in range(p)]
     shapes = [np.zeros(schema.n_bins(j)) for j in range(p)]
     metadata: dict = {"link": link, "n_train": len(train_rows)}
 
@@ -304,7 +333,7 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
         residual = yt - intercept
 
     if valid_rows is not None:
-        Xv = X.codes[valid_rows]
+        Cv = _columns(X.codes, valid_rows)
         yv = y[valid_rows]
         if logistic and not np.all(np.isin(yv, (0.0, 1.0))):
             raise DataError("classification targets must be 0 or 1")
@@ -319,27 +348,32 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
     rounds_run = 0
 
     active = [False] * p
+    # Gradient, Hessian and noise scale of the current F_train; a visit that
+    # finds no split leaves them valid, so they are recomputed only after an
+    # update, and the noise scale only while some feature is inactive.
+    grad = hess = noise_scale = None
     for rnd in range(config.max_rounds):
         rounds_run = rnd + 1
         for j in range(p):
-            codes_j = Xt[:, j]
+            col = Ct[j]
             nb = schema.n_bins(j)
             if logistic:
-                prob = sigmoid(F_train)
-                grad = yt - prob
-                hess = prob * (1.0 - prob)
-                sum_g = np.bincount(codes_j, weights=grad, minlength=nb)
-                denom = np.bincount(codes_j, weights=hess, minlength=nb)
+                if grad is None:
+                    prob = sigmoid(F_train)
+                    grad = yt - prob
+                    hess = prob * (1.0 - prob)
+                sum_g = np.bincount(col, weights=grad, minlength=nb)
+                denom = np.bincount(col, weights=hess, minlength=nb)
                 clip = _NEWTON_CLIP
-                noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
             else:
-                sum_g = np.bincount(codes_j, weights=residual, minlength=nb)
+                sum_g = np.bincount(col, weights=residual, minlength=nb)
                 denom = counts[j]
                 clip = None
-                noise_scale = float(residual @ residual) / len(residual)
             if active[j]:
                 min_gain = _MIN_GAIN
             else:
+                if noise_scale is None:
+                    noise_scale = _noise_scale(grad, hess) if logistic else _noise_scale(residual)
                 min_gain = max(_MIN_GAIN, config.split_significance * noise_scale)
             bounds = _best_tree(sum_g, denom, config.leaves, min_gain)
             if len(bounds) == 2:
@@ -347,21 +381,22 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
             active[j] = True
             vals = _leaf_values(sum_g, denom, bounds, clip) * config.learning_rate
             shapes[j] += vals
-            step = vals[codes_j]
+            step = vals.take(col)
             if logistic:
                 F_train += step
             else:
                 residual -= step
+            grad = hess = noise_scale = None
             if valid_rows is not None:
-                F_valid += vals[Xv[:, j]]
+                F_valid += vals.take(Cv[j])
 
         if logistic:
-            train_trace.append(mean_nll(yt, F_train))
+            train_trace.append(binary_mean_nll(yt, F_train))
         else:
             train_trace.append(float(np.mean(residual**2)))
         if valid_rows is None:
             continue
-        loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
+        loss = binary_mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
         valid_trace.append(loss)
         if loss < best_loss - config.min_improvement:
             best_loss = loss
@@ -588,28 +623,29 @@ def fit_interactions(
     rounds_run = 0
 
     active_pairs = {pair: False for pair in pairs}
+    grad = hess = None  # valid until the next update of F_train, as in _train
     for rnd in range(config.max_rounds):
         rounds_run = rnd + 1
         for i, j in pairs:
             bi, bj = schema.n_bins(i), schema.n_bins(j)
             cell = cells_train[(i, j)]
             if logistic:
-                prob = sigmoid(F_train)
-                grad = yt - prob
-                hess = prob * (1.0 - prob)
+                if grad is None:
+                    prob = sigmoid(F_train)
+                    grad = yt - prob
+                    hess = prob * (1.0 - prob)
                 SG = np.bincount(cell, weights=grad, minlength=bi * bj).reshape(bi, bj)
                 DN = np.bincount(cell, weights=hess, minlength=bi * bj).reshape(bi, bj)
                 clip = _NEWTON_CLIP
-                noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
             else:
                 SG = np.bincount(cell, weights=residual, minlength=bi * bj).reshape(bi, bj)
                 DN = cell_counts[(i, j)]
                 clip = None
-                noise_scale = float(residual @ residual) / len(residual)
             rects = _best_rect_tree(SG, DN, config.leaves)
             if len(rects) == 1:
                 continue
             if not active_pairs[(i, j)]:
+                noise_scale = _noise_scale(grad, hess) if logistic else _noise_scale(residual)
                 # A pure interaction is flat along each axis, so its first cut
                 # gains nothing; entry is judged on the whole tree instead,
                 # one chi-square budget per accepted split.
@@ -632,6 +668,7 @@ def fit_interactions(
                 F_train += step
             else:
                 residual -= step
+            grad = hess = None
             if valid_rows is not None:
                 F_valid += V.ravel()[cells_valid[(i, j)]]
 

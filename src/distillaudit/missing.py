@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
-from scipy.stats._stats import _kendall_dis
 
 from .data import AuditDataset, bin_dataset
 from .distill import PairedEnsembles
@@ -157,6 +155,8 @@ class CorrelationTest:
 
 
 def _point_estimates(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    from scipy import stats  # most of the package's import time; only this test needs it
+
     with np.errstate(invalid="ignore", divide="ignore"):
         pr = stats.pearsonr(a, b).statistic
         sr = stats.spearmanr(a, b).statistic
@@ -196,6 +196,8 @@ def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int) -> np.nd
     routine and ties by integer counts, so it equals ``stats.kendalltau`` on
     the gathered rows bit for bit. Resamples constant in a margin stay NaN.
     """
+    from scipy.stats._stats import _kendall_dis
+
     n = len(a)
     ia = np.unique(a, return_inverse=True)[1]
     ib = np.unique(b, return_inverse=True)[1]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 from .errors import DegenerateStatisticsError
 
@@ -26,6 +25,15 @@ def bernoulli_loglik(y: np.ndarray, logits: np.ndarray) -> float:
 def mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
     """Mean negative Bernoulli log-likelihood (the classification training loss)."""
     return -bernoulli_loglik(y, logits) / len(y)
+
+
+def binary_mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
+    """:func:`mean_nll` for 0/1 targets, with one ``log_expit`` per row.
+
+    For y in {0, 1} each term ``y*log_expit(F) + (1-y)*log_expit(-F)`` is
+    exactly ``log_expit(F if y == 1 else -F)``, so the result is the same.
+    """
+    return -float(np.sum(special.log_expit(np.where(y == 1.0, logits, -logits)))) / len(y)
 
 
 def pseudo_residuals(y: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -51,7 +59,10 @@ def auc(y: np.ndarray, scores: np.ndarray) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateStatisticsError("AUC undefined: single outcome class")
-    ranks = rankdata(scores)
+    # Average ranks, ties sharing the mean of their positions: integers or
+    # halves, so exact, and equal to scipy.stats.rankdata without importing it.
+    _, inverse, counts = np.unique(np.asarray(scores), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

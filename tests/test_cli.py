@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,19 @@ class TestAudit:
         assert any((out / "curves").glob("*.csv"))
         assert any((out / "plots").glob("*.svg"))
 
+    def test_run_meta_records_every_stage(self, audit_run):
+        _, out = audit_run
+        stages = json.loads((out / "run_meta.json").read_text())["stages"]
+        assert [s["name"] for s in stages] == [
+            "startup", "config", "load", "calibrate", "plan",
+            "train", "baseline", "compare", "missing-test", "report",
+        ]
+        for s in stages:
+            assert list(s) == ["max_rss_mib", "name", "seconds"]
+            assert s["seconds"] >= 0.0
+        peaks = [s["max_rss_mib"] for s in stages]
+        assert peaks[0] > 0.0 and peaks == sorted(peaks)
+
     def test_curve_csv_parses(self, audit_run):
         _, out = audit_run
         path = sorted((out / "curves").glob("*.csv"))[0]
@@ -262,3 +279,10 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             run([])
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(da.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, distillaudit.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

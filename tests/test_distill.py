@@ -5,10 +5,18 @@ determinism are checked directly, and parallel training must reproduce the
 sequential result bit for bit.
 """
 
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import distillaudit as da
+from distillaudit import distill
+from distillaudit.cli import EXIT_TRAINING, main
 from distillaudit.gam import IDENTITY, LOGISTIC
 
 
@@ -23,6 +31,30 @@ def small_dataset(n_rows=400, seed=0, score_only=0):
     return da.AuditDataset.from_arrays(
         {"x0": x0, "x1": x1}, score=score, outcome=outcome
     )
+
+
+def model_bytes(paired):
+    """Every model of both families as JSON text, in (family, k, l) order."""
+    return [
+        json.dumps(m.to_json_dict())
+        for ens in (paired.mimic, paired.outcome)
+        for fold in ens.models
+        for m in fold
+    ]
+
+
+def unlabeled_outside(data, plan):
+    """``data`` with outcomes kept only on the rows of outer test fold 0, so
+    the bags of fold 0 have no labeled rows to train on."""
+    outcome = np.full(data.n_rows, np.nan)
+    outcome[plan.test[0]] = data.outcome[plan.test[0]]
+    return da.AuditDataset(
+        data.feature_names, data.feature_kinds, data.columns, data.score, outcome
+    )
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
 
 
 def plans_equal(p1, p2):
@@ -149,6 +181,63 @@ class TestPairedTraining:
                     assert a.intercept == b.intercept
                     for shape_a, shape_b in zip(a.shapes, b.shapes):
                         np.testing.assert_array_equal(shape_a, shape_b)
+
+    def test_parallel_interactions_match_sequential(self):
+        data = small_dataset(score_only=60)
+        plan = da.plan_bags(data.n_rows, K=2, L=3, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=60, patience=10, seed=0)
+        paired = da.train_paired(data, plan=plan, config=config)
+        seq = da.with_interactions(paired, data, 1, config, jobs=1)
+        par = da.with_interactions(paired, data, 1, config, jobs=2)
+        assert model_bytes(seq) == model_bytes(par)
+        assert all(m.surfaces for fold in par.outcome.models for m in fold)
+
+    def test_parallel_matches_sequential_under_spawn(self):
+        """Spawned workers start from a fresh import and get the shared data
+        through the pool initializer, as on macOS and Windows."""
+        code = textwrap.dedent(
+            """
+            import multiprocessing, sys
+            sys.path[:0] = [SRC, TESTS]
+            import distillaudit as da
+            from test_distill import model_bytes, small_dataset
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn", force=True)
+                data = small_dataset(score_only=40)
+                plan = da.plan_bags(data.n_rows, K=2, L=2, seed=1)
+                config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=1)
+                out = []
+                for jobs in (1, 2):
+                    paired = da.train_paired(data, plan=plan, config=config, jobs=jobs)
+                    out.append(model_bytes(da.with_interactions(paired, data, 1, config, jobs=jobs)))
+                print(out[0] == out[1], multiprocessing.get_start_method())
+            """
+        ).replace("SRC", repr(str(Path(da.__file__).resolve().parents[1]))).replace(
+            "TESTS", repr(str(Path(__file__).resolve().parent))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "spawn"]
+
+    def test_bag_without_labeled_rows_fails_before_dispatch(self, monkeypatch):
+        plan = da.plan_bags(400, K=2, L=2, seed=0)
+        data = unlabeled_outside(small_dataset(), plan)
+        monkeypatch.setattr(distill, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(da.TrainingError, match=r"bag \(0, 0\) has no labeled rows"):
+            da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5), jobs=2)
+
+    def test_bag_without_labeled_rows_exits_from_train_stage(self, tmp_path, monkeypatch, capsys):
+        ds, _ = da.gen_partial_use(n_rows=600, seed=2)
+        path = tmp_path / "data.csv"
+        unlabeled_outside(ds, da.plan_bags(ds.n_rows, K=2, L=2, seed=5)).to_csv(path)
+        monkeypatch.setattr(distill, "ProcessPoolExecutor", no_pool)
+        code = main(["audit", "--data", str(path), "--K", "2", "--L", "2", "--seed", "5",
+                     "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert code == EXIT_TRAINING
+        assert "error[train]: bag (0, 0) has no labeled rows" in capsys.readouterr().err
 
     def test_calibrated_training_uses_mapped_targets(self):
         data = small_dataset()

@@ -6,12 +6,24 @@ log-likelihood (what each classification round fits), and empirical per-bin
 rates (the saturated logistic optimum).
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import distillaudit as da
-from distillaudit.gam import _best_tree, _split_segment
-from distillaudit.stats import bernoulli_loglik, pseudo_residuals, sigmoid
+from distillaudit.gam import (
+    _MIN_GAIN,
+    _MIN_HESSIAN,
+    _NEWTON_CLIP,
+    IDENTITY,
+    LOGISTIC,
+    _best_tree,
+    _center_shapes,
+    _split_rows,
+    _split_segment,
+)
+from distillaudit.stats import bernoulli_loglik, mean_nll, pseudo_residuals, sigmoid
 
 
 def dataset_from_column(values, name="x"):
@@ -319,6 +331,238 @@ class TestInteractions:
         cfg = da.TrainConfig(learning_rate=0.2, max_rounds=150, patience=15)
         mains = da.train_classifier(X, y, cfg, validation=valid)
         with_pair = da.fit_interactions(mains, X, y, 1, cfg, validation=valid, pairs=[(0, 1)])
-        from distillaudit.stats import mean_nll
-
         assert mean_nll(y, with_pair.decision(X)) < mean_nll(y, mains.decision(X)) - 0.01
+
+
+# Reference copies of the visit loop and split search before the loop read
+# contiguous columns, reused gradients and prefix sums, and located the run
+# of valid cuts directly. The current code must reproduce them bit for bit.
+
+
+def reference_split_segment(sum_g, denom, lo, hi):
+    g = sum_g[lo:hi]
+    d = denom[lo:hi]
+    if len(g) < 2:
+        return None
+    cg = np.cumsum(g)
+    cd = np.cumsum(d)
+    total_g = cg[-1]
+    total_d = cd[-1]
+    if total_d <= _MIN_HESSIAN:
+        return None
+    gl, dl = cg[:-1], cd[:-1]
+    gr, dr = total_g - gl, total_d - dl
+    valid = (dl > _MIN_HESSIAN) & (dr > _MIN_HESSIAN)
+    if not valid.any():
+        return None
+    gains = np.where(
+        valid,
+        gl**2 / np.maximum(dl, _MIN_HESSIAN) + gr**2 / np.maximum(dr, _MIN_HESSIAN) - total_g**2 / total_d,
+        -np.inf,
+    )
+    t = int(np.argmax(gains))
+    return float(gains[t]), lo + t + 1
+
+
+def reference_best_tree(sum_g, denom, max_leaves, min_gain=_MIN_GAIN):
+    bounds = [0, len(sum_g)]
+    for _ in range(max_leaves - 1):
+        best = None
+        best_at = 0
+        for si, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            cand = reference_split_segment(sum_g, denom, lo, hi)
+            if cand is not None and (best is None or cand[0] > best[0]):
+                best = cand
+                best_at = si
+        if best is None or best[0] <= min_gain:
+            break
+        bounds.insert(best_at + 1, best[1])
+    return bounds
+
+
+def reference_leaf_values(sum_g, denom, bounds, clip):
+    vals = np.zeros(len(sum_g))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        d = denom[lo:hi].sum()
+        if d > _MIN_HESSIAN:
+            vals[lo:hi] = sum_g[lo:hi].sum() / d
+    if clip is not None:
+        np.clip(vals, -clip, clip, out=vals)
+    return vals
+
+
+def reference_train(X, targets, config, validation, link):
+    y = np.asarray(targets, dtype=float)
+    train_rows, valid_rows = _split_rows(X.n_rows, validation)
+    schema = X.schema
+    p = schema.n_features
+    Xt = X.codes[train_rows]
+    yt = y[train_rows]
+    counts = [np.bincount(Xt[:, j], minlength=schema.n_bins(j)).astype(float) for j in range(p)]
+    shapes = [np.zeros(schema.n_bins(j)) for j in range(p)]
+    metadata = {"link": link, "n_train": len(train_rows)}
+    logistic = link == LOGISTIC
+    if logistic:
+        base = float(yt.mean())
+        intercept = float(np.log(base / (1.0 - base)))
+        F_train = np.full(len(yt), intercept)
+    else:
+        intercept = float(yt.mean())
+        if np.ptp(yt) == 0.0:
+            metadata["constant_target"] = True
+            return da.AdditiveModel(intercept, link, schema, shapes, [], metadata)
+        residual = yt - intercept
+    if valid_rows is not None:
+        Xv = X.codes[valid_rows]
+        yv = y[valid_rows]
+        F_valid = np.full(len(yv), intercept)
+    train_trace, valid_trace = [], []
+    best_loss = np.inf
+    best_shapes = None
+    best_round = 0
+    stale = 0
+    rounds_run = 0
+    active = [False] * p
+    for rnd in range(config.max_rounds):
+        rounds_run = rnd + 1
+        for j in range(p):
+            codes_j = Xt[:, j]
+            nb = schema.n_bins(j)
+            if logistic:
+                prob = sigmoid(F_train)
+                grad = yt - prob
+                hess = prob * (1.0 - prob)
+                sum_g = np.bincount(codes_j, weights=grad, minlength=nb)
+                denom = np.bincount(codes_j, weights=hess, minlength=nb)
+                clip = _NEWTON_CLIP
+                noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
+            else:
+                sum_g = np.bincount(codes_j, weights=residual, minlength=nb)
+                denom = counts[j]
+                clip = None
+                noise_scale = float(residual @ residual) / len(residual)
+            if active[j]:
+                min_gain = _MIN_GAIN
+            else:
+                min_gain = max(_MIN_GAIN, config.split_significance * noise_scale)
+            bounds = reference_best_tree(sum_g, denom, config.leaves, min_gain)
+            if len(bounds) == 2:
+                continue
+            active[j] = True
+            vals = reference_leaf_values(sum_g, denom, bounds, clip) * config.learning_rate
+            shapes[j] += vals
+            step = vals[codes_j]
+            if logistic:
+                F_train += step
+            else:
+                residual -= step
+            if valid_rows is not None:
+                F_valid += vals[Xv[:, j]]
+        if logistic:
+            train_trace.append(mean_nll(yt, F_train))
+        else:
+            train_trace.append(float(np.mean(residual**2)))
+        if valid_rows is None:
+            continue
+        loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
+        valid_trace.append(loss)
+        if loss < best_loss - config.min_improvement:
+            best_loss = loss
+            best_shapes = [h.copy() for h in shapes]
+            best_round = rnd + 1
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    if valid_rows is not None and best_shapes is not None:
+        shapes = best_shapes
+        metadata["best_round"] = best_round
+        metadata["valid_loss"] = best_loss
+        metadata["valid_loss_trace"] = valid_trace
+    metadata["rounds_run"] = rounds_run
+    metadata["stopped_early"] = valid_rows is not None and rounds_run < config.max_rounds
+    metadata["train_loss_trace"] = train_trace
+    intercept += _center_shapes(shapes, counts)
+    return da.AdditiveModel(intercept, link, schema, shapes, [], metadata)
+
+
+def oracle_table(max_bins, n=700, seed=13):
+    """Mixed table: continuous, discrete, skewed and categorical features with
+    missing cells, a score, and outcomes blank on about a fifth of the rows."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=n)
+    x1 = rng.integers(0, 5, size=n).astype(float)
+    x2 = np.exp(rng.normal(size=n))
+    x2[rng.random(n) < 0.1] = np.nan
+    x3 = rng.choice(["a", "b", "c", "d"], size=n).astype(object)
+    x3[rng.random(n) < 0.05] = None
+    x4 = rng.normal(size=n)  # unused by the score: exercises the entry gate
+    score = np.sin(2 * x0) + 0.4 * x1 + 0.3 * np.nan_to_num(x2) + (x3 == "b") + rng.normal(0, 0.3, size=n)
+    outcome = (rng.random(n) < sigmoid(score - score.mean())).astype(float)
+    outcome[rng.random(n) < 0.2] = np.nan
+    ds = da.AuditDataset.from_arrays(
+        {"x0": x0, "x1": x1, "x2": x2, "x3": x3, "x4": x4}, score, outcome, kinds={"x3": "categorical"}
+    )
+    return ds, da.bin_dataset(ds, da.fit_schema(ds, max_bins=max_bins))
+
+
+class TestVisitLoopOracle:
+    """Fits equal the reference loop's, byte for byte, over links, validation,
+    early stopping, tree sizes, bin counts and the entry gate."""
+
+    @pytest.mark.parametrize("max_bins", [8, 64, 256])
+    @pytest.mark.parametrize("link", [IDENTITY, LOGISTIC])
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_fits_match_reference(self, max_bins, link, validated):
+        ds, X = oracle_table(max_bins)
+        if link == LOGISTIC:  # score-only rows train only the mimic, as in distill
+            rows = np.flatnonzero(ds.has_outcome)
+            X, y = X.take(rows), ds.outcome[rows]
+        else:
+            y = ds.score
+        validation = np.arange(0, X.n_rows, 5) if validated else None
+        configs = [
+            da.TrainConfig(learning_rate=0.3, max_rounds=12, leaves=leaves, split_significance=sig)
+            for leaves in (2, 3, 4, 5)
+            for sig in (0.0, 40.0)
+        ]
+        configs.append(da.TrainConfig(learning_rate=0.9, max_rounds=300, patience=3, leaves=4))
+        for config in configs:
+            got = da.train_regressor if link == IDENTITY else da.train_classifier
+            model = got(X, y, config, validation=validation)
+            want = reference_train(X, y, config, validation, link)
+            assert json.dumps(model.to_json_dict()) == json.dumps(want.to_json_dict()), config
+        if validated:
+            assert model.metadata["stopped_early"]
+
+    def test_split_search_matches_reference_on_random_histograms(self):
+        rng = np.random.default_rng(14)
+        for trial in range(10000):
+            n = int(rng.integers(1, 301))
+            kind = trial % 4
+            if kind == 0:  # squared error: integer counts, float gradient sums
+                denom = rng.integers(0, 6, size=n).astype(float)
+                sum_g = rng.normal(size=n) * denom
+            elif kind == 1:  # Newton: small positive Hessians
+                denom = rng.uniform(0, 0.25, size=n) * rng.integers(0, 4, size=n)
+                sum_g = rng.normal(size=n) * denom
+            elif kind == 2:  # ties: small integers everywhere
+                denom = rng.integers(0, 3, size=n).astype(float)
+                sum_g = rng.integers(-2, 3, size=n).astype(float)
+            else:  # near the Hessian floor
+                denom = rng.choice([0.0, 1e-13, 5e-13, 1.0], size=n)
+                sum_g = rng.normal(size=n)
+            for _ in range(int(rng.integers(0, 3))):  # runs of empty bins
+                a = int(rng.integers(0, n))
+                b = int(rng.integers(a, n + 1))
+                denom[a:b] = 0.0
+                sum_g[a:b] = 0.0 if rng.random() < 0.5 else sum_g[a:b]
+            lo = int(rng.integers(0, n))
+            hi = int(rng.integers(lo, n + 1))
+            assert _split_segment(sum_g, denom, lo, hi) == reference_split_segment(sum_g, denom, lo, hi)
+            leaves = int(rng.integers(2, 6))
+            min_gain = _MIN_GAIN if trial % 3 else float(rng.exponential())
+            assert _best_tree(sum_g, denom, leaves, min_gain) == reference_best_tree(
+                sum_g, denom, leaves, min_gain
+            )
