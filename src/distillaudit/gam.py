@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import BinnedMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError
-from .stats import binary_mean_nll, mean_nll, sigmoid
+from .stats import mean_nll, sigmoid
 
 IDENTITY = "identity"
 LOGISTIC = "logistic"
@@ -287,14 +287,6 @@ def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
     return shift
 
 
-def _noise_scale(grad: np.ndarray, hess: np.ndarray | None = None) -> float:
-    """Scale of the entry gate: the residual variance, or with Hessians its
-    Newton analog."""
-    if hess is None:
-        return float(grad @ grad) / len(grad)
-    return float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
-
-
 def _columns(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Bin codes of ``rows`` as one contiguous ``intp`` row per feature."""
     return np.array(codes[rows].T, dtype=np.intp, order="C")
@@ -373,7 +365,10 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
                 min_gain = _MIN_GAIN
             else:
                 if noise_scale is None:
-                    noise_scale = _noise_scale(grad, hess) if logistic else _noise_scale(residual)
+                    if logistic:
+                        noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
+                    else:
+                        noise_scale = float(residual @ residual) / len(residual)
                 min_gain = max(_MIN_GAIN, config.split_significance * noise_scale)
             bounds = _best_tree(sum_g, denom, config.leaves, min_gain)
             if len(bounds) == 2:
@@ -391,12 +386,12 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
                 F_valid += vals.take(Cv[j])
 
         if logistic:
-            train_trace.append(binary_mean_nll(yt, F_train))
+            train_trace.append(mean_nll(yt, F_train))
         else:
             train_trace.append(float(np.mean(residual**2)))
         if valid_rows is None:
             continue
-        loss = binary_mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
+        loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
         valid_trace.append(loss)
         if loss < best_loss - config.min_improvement:
             best_loss = loss
@@ -645,7 +640,10 @@ def fit_interactions(
             if len(rects) == 1:
                 continue
             if not active_pairs[(i, j)]:
-                noise_scale = _noise_scale(grad, hess) if logistic else _noise_scale(residual)
+                if logistic:
+                    noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
+                else:
+                    noise_scale = float(residual @ residual) / len(residual)
                 # A pure interaction is flat along each axis, so its first cut
                 # gains nothing; entry is judged on the whole tree instead,
                 # one chi-square budget per accepted split.

@@ -23,17 +23,13 @@ def bernoulli_loglik(y: np.ndarray, logits: np.ndarray) -> float:
 
 
 def mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
-    """Mean negative Bernoulli log-likelihood (the classification training loss)."""
-    return -bernoulli_loglik(y, logits) / len(y)
+    """Mean negative Bernoulli log-likelihood (the classification training loss).
 
-
-def binary_mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
-    """:func:`mean_nll` for 0/1 targets, with one ``log_expit`` per row.
-
-    For y in {0, 1} each term ``y*log_expit(F) + (1-y)*log_expit(-F)`` is
-    exactly ``log_expit(F if y == 1 else -F)``, so the result is the same.
+    Targets must be 0 or 1. Each row then contributes ``log_expit(F)`` or
+    ``log_expit(-F)``, exactly the term of :func:`bernoulli_loglik`, with
+    one ``log_expit`` per row instead of two.
     """
-    return -float(np.sum(special.log_expit(np.where(y == 1.0, logits, -logits)))) / len(y)
+    return -float(np.sum(special.log_expit(np.where(y == 1, logits, -logits)))) / len(y)
 
 
 def pseudo_residuals(y: np.ndarray, logits: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import rankdata
 
 import distillaudit as da
-from distillaudit.stats import auc, binary_mean_nll, mean_nll
+from distillaudit.stats import auc, bernoulli_loglik, mean_nll
 
 
 def rank_auc(y, scores):
@@ -39,9 +39,9 @@ class TestAuc:
             auc(np.ones(5), np.arange(5.0))
 
 
-def test_binary_mean_nll_equals_mean_nll_on_binary_targets():
+def test_mean_nll_equals_bernoulli_loglik_on_binary_targets():
     rng = np.random.default_rng(0)
     y = (rng.random(5000) < 0.3).astype(float)
     extremes = [-800.0, -40.0, -30.0, -1e-300, -0.0, 0.0, 1e-300, 30.0, 40.0, 800.0]
     logits = np.concatenate([rng.normal(scale=3.0, size=4990), extremes])
-    assert binary_mean_nll(y, logits) == mean_nll(y, logits)
+    assert mean_nll(y, logits) == -bernoulli_loglik(y, logits) / len(y)
