@@ -72,19 +72,6 @@ class LoadConfig:
                 raise ConfigError(f"feature type for {name!r} must be numeric or categorical, got {kind!r}")
         return cfg
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "LoadConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                d = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError("config file must contain a JSON object")
-        return cls.from_dict(d)
-
 
 @dataclass
 class AuditDataset:

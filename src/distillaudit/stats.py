@@ -45,6 +45,14 @@ def rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
 
 
+def average_ranks(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based, ties sharing the mean of their positions) of rows
+    whose values have dense ids ``ids``, when value ``v`` occurs ``counts[v]``
+    times. Ranks are integers or halves, so exact, and equal to
+    ``scipy.stats.rankdata`` for integer counts."""
+    return (np.cumsum(counts) - (counts - 1) / 2)[ids]
+
+
 def auc(y: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve via the rank statistic, ties averaged.
 
@@ -55,10 +63,8 @@ def auc(y: np.ndarray, scores: np.ndarray) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise DegenerateStatisticsError("AUC undefined: single outcome class")
-    # Average ranks, ties sharing the mean of their positions: integers or
-    # halves, so exact, and equal to scipy.stats.rankdata without importing it.
     _, inverse, counts = np.unique(np.asarray(scores), return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    ranks = average_ranks(inverse, counts)
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -23,6 +23,14 @@ def run(argv):
     return main(argv)
 
 
+def run_fresh(code):
+    """Standard output of ``code`` run in a new interpreter that imports this package."""
+    src = str(Path(da.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def write_kinked(tmp_path, rows=2500, seed=0):
     path = tmp_path / "kinked.csv"
     assert run(["gen-synthetic", "--kind", "kinked-score", "--rows", str(rows),
@@ -281,8 +289,21 @@ class TestParser:
             run([])
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        src = str(Path(da.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys, distillaudit.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert run_fresh(code) == "False"
+
+    def test_audit_and_missing_test_leave_scipy_stats_unloaded(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "hidden-feature", "--rows", "600", "--out", str(data)])
+        cfg = small_train_config(tmp_path)
+        out = tmp_path / "audit"
+        code = f"""
+import sys
+from distillaudit.cli import main
+assert main(["audit", "--data", {str(data)!r}, "--config", {str(cfg)!r}, "--K", "2", "--L", "2",
+             "--out", {str(out)!r}]) == 0
+assert main(["test-missing", "--data", {str(out / "error_pairs.csv")!r}, "--resamples", "200",
+             "--out", {str(tmp_path / "retest")!r}]) == 0
+print("scipy.stats" in sys.modules)
+"""
+        assert run_fresh(code).splitlines()[-1] == "False"

@@ -9,6 +9,8 @@ from distillaudit.missing import (
     CorrelationInterval,
     EVIDENCE_MARGIN,
     _bootstrap,
+    _point_estimates,
+    _ranked,
     _verdict,
     error_pairs,
     load_error_pairs_csv,
@@ -198,6 +200,57 @@ class TestBootstrapOracle:
     def test_tie_heavy_input_has_degenerate_resamples(self):
         a, b = tie_heavy(0)
         assert np.isnan(_bootstrap(a, b, 400, 0)[:, 0]).any()
+
+
+def distinct(seed, n=3000):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    return a, np.exp(0.5 * a + rng.normal(size=n))
+
+
+POINT_CASES = ORACLE_CASES + [
+    ("distinct-small", distinct, 0, None),
+    ("distinct-large", lambda seed: distinct(seed, n=140_000), 1, None),
+]
+
+
+class TestPointEstimateOracle:
+    """The numpy point estimates against the scipy.stats functions they replace."""
+
+    @pytest.mark.parametrize("make, seed", [c[1:3] for c in POINT_CASES], ids=[c[0] for c in POINT_CASES])
+    def test_matches_scipy(self, make, seed):
+        a, b = make(seed)
+        pearson, spearman, kendall = _point_estimates(a, b)
+        assert kendall == stats.kendalltau(a, b).statistic
+        assert pearson == pytest.approx(stats.pearsonr(a, b).statistic, rel=0, abs=1e-15)
+        assert spearman == pytest.approx(stats.spearmanr(a, b).statistic, rel=0, abs=1e-15)
+
+
+def brute_discordant(a, b, c):
+    """Pairs of rows, row i repeated c[i] times, ordered oppositely by a and b."""
+    opposite = (a[:, None] < a[None, :]) & (b[:, None] > b[None, :])
+    return int(np.sum(np.outer(c, c) * opposite))
+
+
+class TestDiscordanceCounter:
+    @pytest.mark.parametrize("levels", [2, 7, None], ids=["binary", "ties", "distinct"])
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_matches_double_loop(self, levels, block):
+        rng = np.random.default_rng(block)
+        for n in range(1, 301):
+            if levels is None:
+                a, b = rng.permutation(n).astype(float), rng.normal(size=n)
+            else:
+                a, b = rng.integers(0, levels, size=(2, n)).astype(float)
+            _, _, _, order, discordance = _ranked(a, b, block)
+            # Resample counts (zeros included) and, in the first column, unit weights.
+            weights = [np.ones(n, int)] + [
+                np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(block - 1)
+            ]
+            for k, c in enumerate(weights):
+                discordance.counts[:n, k] = c[order]
+            got = discordance.count()[:block]
+            assert [int(d) for d in got] == [brute_discordant(a, b, c) for c in weights], n
 
 
 def hidden_pipeline(strength, hidden, n_rows=4000, seed=0):
