@@ -13,7 +13,6 @@ from .baseline import (
     LinearBags,
     LinearModel,
     design_matrix,
-    linear_fidelity,
     linear_fold_metrics,
     train_linear,
     train_linear_bags,
@@ -36,7 +35,6 @@ from .compare import (
     curve,
     difference,
     discrepancy_score,
-    little_bags_covariance,
     little_bags_variance,
     summarize,
 )

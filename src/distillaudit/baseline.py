@@ -10,14 +10,13 @@ encoded as all-zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .calibrate import CalibrationMap
-from .data import CATEGORICAL, NUMERIC, AuditDataset, FeatureSchema, fit_schema
+from .data import NUMERIC, AuditDataset, FeatureSchema, dump_json, fit_schema
 from .distill import BagPlan, FidelityMetrics, fold_fidelity
 from .errors import DataError, TrainingError
 from .gam import IDENTITY, LOGISTIC
@@ -87,16 +86,6 @@ class LinearModel:
         columns = list(d["weights"])
         weights = np.asarray([d["weights"][c] for c in columns], float)
         return cls(float(d["intercept"]), weights, columns, d["link"], float(d["l2"]), dict(d["metadata"]))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LinearModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _ridge(A: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
@@ -203,7 +192,7 @@ class LinearBags:
         for name, grid in (("linear_mimic", self.mimics), ("linear_outcome", self.outcomes)):
             for k, fold in enumerate(grid):
                 for l, model in enumerate(fold):
-                    model.save(directory / f"{name}_k{k}_l{l}.json")
+                    dump_json(directory / f"{name}_k{k}_l{l}.json", model.to_json_dict())
 
 
 def train_linear_bags(
@@ -255,15 +244,3 @@ def linear_fold_metrics(
         return np.mean([m.predict(A[rows]) for m in bags.outcomes[k]], axis=0)
 
     return fold_fidelity("linear", data, plan, score_fold, prob_fold, calibration)
-
-
-def linear_fidelity(
-    data: AuditDataset,
-    plan: BagPlan,
-    calibration: CalibrationMap | None = None,
-    schema: FeatureSchema | None = None,
-    l2: float = 1e-6,
-) -> FidelityMetrics:
-    """Train linear bags on the plan and evaluate them in one call."""
-    bags = train_linear_bags(data, plan, calibration, schema, l2)
-    return linear_fold_metrics(data, plan, bags, calibration)

@@ -15,7 +15,6 @@ already linear in the log odds gains nothing from calibration.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,16 +77,6 @@ class CalibrationMap:
             np.asarray(d["values"], float),
             float(d["epsilon"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CalibrationMap":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _labeled(scores, outcomes) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import decide_calibration, diagnose, fit_calibration
-from .data import LoadConfig, fit_schema, load_csv
+from .data import LoadConfig, dump_json, fit_schema, load_csv, load_json
 from .distill import fidelity, plan_bags, train_paired, with_interactions
 from .errors import (
     AuditError,
@@ -36,7 +36,6 @@ from .missing import correlation_test, error_pairs, load_error_pairs_csv
 from .compare import summarize
 from .report import (
     build_report,
-    dump_json,
     save_all_models,
     write_calibration_plots,
     write_comparison_artifacts,
@@ -88,8 +87,7 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
     if path is None:
         return {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+        d = load_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -286,9 +284,7 @@ def _write_run_meta(out_dir: Path, started: float, stage: _Stage, **extra) -> No
         "stages": stage.close(),
     }
     meta.update(extra)
-    with open(out_dir / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(out_dir / "run_meta.json", meta)
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:

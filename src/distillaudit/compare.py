@@ -42,19 +42,6 @@ def little_bags_variance(values: np.ndarray) -> np.ndarray:
     return np.mean((inner - grand) ** 2, axis=0)
 
 
-def little_bags_covariance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Covariance analogue of :func:`little_bags_variance` for paired grids."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DegenerateStatisticsError("paired grids must have identical shapes")
-    if a.ndim < 2 or a.shape[0] < 2 or a.shape[1] < 2:
-        raise DegenerateStatisticsError("covariance estimation needs at least a 2 x 2 bag grid")
-    da = a.mean(axis=1) - a.mean(axis=(0, 1))
-    db = b.mean(axis=1) - b.mean(axis=(0, 1))
-    return np.mean(da * db, axis=0)
-
-
 @dataclass
 class ContributionCurve:
     """Per-bin shape estimate with pointwise 95% bounds."""

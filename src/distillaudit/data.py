@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,51 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 _DEFAULT_MISSING_MARKERS = ("", "na", "nan", "null", "none")
+
+
+_JSON_SCALARS = {int, str, bool, type(None)}
+
+
+def _clean(obj):
+    """Make a structure JSON-safe: numpy scalars unwrapped, NaN/inf to None.
+
+    A flat list of plain ints and strings, or of floats with a finite sum, is
+    returned as it is, without a visit per item: saved models and the bag
+    plan hold hundreds of thousands of numbers, and visiting each took as
+    long as writing the file.
+    """
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {str(k): _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds <= _JSON_SCALARS or (kinds == {float} and math.isfinite(sum(obj))):
+            return obj
+        return [_clean(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _clean(obj.tolist())
+    if isinstance(obj, np.floating):
+        return _clean(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def dump_json(path: str | Path, obj) -> None:
+    """Write byte-stable JSON: keys sorted, two-space indent, floats via repr,
+    non-finite floats as null, trailing newline. ``json.dump`` streams the
+    text, so the bag plan's row lists never exist as one string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_clean(obj), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def load_json(path: str | Path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @dataclass(frozen=True)
@@ -398,16 +444,6 @@ class FeatureSchema:
             else:
                 specs.append(FeatureSpec(s["name"], CATEGORICAL, categories=tuple(s["categories"])))
         return cls(tuple(specs), int(d["max_bins"]))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FeatureSchema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def fit_schema(data: AuditDataset, max_bins: int = 256) -> FeatureSchema:

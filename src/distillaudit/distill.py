@@ -27,7 +27,6 @@ in-process. Outcome fits, the slower family, are submitted first.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationMap
-from .data import AuditDataset, BinnedMatrix, FeatureSchema, bin_dataset, fit_schema
+from .data import AuditDataset, BinnedMatrix, FeatureSchema, bin_dataset, dump_json, fit_schema
 from .errors import ConfigError, DataError, DegenerateStatisticsError, TrainingError
 from .gam import (
     IDENTITY,
@@ -89,16 +88,6 @@ class BagPlan:
             tuple(tuple(np.asarray(b, int) for b in fold) for fold in d["train"]),
             tuple(tuple(np.asarray(b, int) for b in fold) for fold in d["valid"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "BagPlan":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
@@ -192,12 +181,12 @@ class PairedEnsembles:
         """Write every model, the bag plan, and the schema as JSON files."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self.plan.save(directory / "plan.json")
-        self.schema.save(directory / "schema.json")
+        dump_json(directory / "plan.json", self.plan.to_json_dict())
+        dump_json(directory / "schema.json", self.schema.to_json_dict())
         for name, ens in (("mimic", self.mimic), ("outcome", self.outcome)):
             for k, fold in enumerate(ens.models):
                 for l, model in enumerate(fold):
-                    model.save(directory / f"{name}_k{k}_l{l}.json")
+                    dump_json(directory / f"{name}_k{k}_l{l}.json", model.to_json_dict())
 
 
 def _bag_rows(

@@ -2,14 +2,21 @@
 
 A model is an intercept plus one lookup table per feature (the shape
 function, one value per bin) plus optional lookup grids for selected
-feature pairs. Training cycles through the features; each visit fits a
-depth-limited tree (at most ``leaves`` leaf segments of contiguous bins)
-to the current gradient and adds ``learning_rate`` times its leaf values
-into the shape. Squared error drives the regression fit; Bernoulli
-log-likelihood with Newton leaf steps drives the classification fit.
+feature pairs. Boosting sees each table as a *term*: a flat array of cells,
+the cell of every training and validation row, and a tree fitter. A
+feature's tree cuts its bins into at most ``leaves`` contiguous segments; a
+pair's tree cuts its joint grid into at most ``leaves`` axis-aligned
+rectangles. One loop, ``_boost``, serves both: each round it visits every
+term, fits the term's tree to the current gradient and adds
+``learning_rate`` times the leaf values into the table. It also owns the
+entry gate (see :class:`TrainConfig`) and early stopping. Squared error
+drives the regression fit; Bernoulli log-likelihood with Newton leaf steps
+drives the classification fit. :func:`train_regressor` and
+:func:`train_classifier` boost the feature shapes from the intercept;
+:func:`fit_interactions` freezes those shapes and boosts pair grids on top.
 
-After boosting every shape is mean-centered over the training bin masses
-and the removed means are folded into the intercept, so shape values read
+After boosting every table is mean-centered over its training cell masses
+and the removed means are folded into the intercept, so table values read
 as signed deviations from the average prediction.
 
 Trees, leaf values, and tie-breaks are deterministic: candidate cuts are
@@ -19,9 +26,9 @@ the incumbent, so the lowest boundary wins ties.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,16 +172,6 @@ class AdditiveModel:
         ]
         return cls(float(d["intercept"]), d["link"], schema, shapes, surfaces, dict(d["metadata"]))
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AdditiveModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
     """Best single cut of the segment starting at bin ``lo``, given its prefix
@@ -292,110 +289,131 @@ def _columns(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array(codes[rows].T, dtype=np.intp, order="C")
 
 
-def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str) -> AdditiveModel:
+def _checked_targets(targets, n_rows: int, logistic: bool) -> np.ndarray:
+    """Targets as floats: one per row, finite, and 0 or 1 for a logistic fit."""
     y = np.asarray(targets, dtype=float)
-    if len(y) != X.n_rows:
+    if len(y) != n_rows:
         raise DataError("targets length does not match the binned matrix")
     if not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
-    train_rows, valid_rows = _split_rows(X.n_rows, validation)
+    if logistic and not np.all(np.isin(y, (0.0, 1.0))):
+        raise DataError("classification targets must be 0 or 1")
+    return y
 
-    schema = X.schema
-    p = schema.n_features
-    Ct = _columns(X.codes, train_rows)
-    yt = y[train_rows]
-    counts = [np.bincount(Ct[j], minlength=schema.n_bins(j)).astype(float) for j in range(p)]
-    shapes = [np.zeros(schema.n_bins(j)) for j in range(p)]
-    metadata: dict = {"link": link, "n_train": len(train_rows)}
 
-    logistic = link == LOGISTIC
-    if logistic:
-        if not np.all(np.isin(yt, (0.0, 1.0))):
-            raise DataError("classification targets must be 0 or 1")
-        base = float(yt.mean())
-        if base in (0.0, 1.0):
-            raise TrainingError("classification targets contain a single class")
-        intercept = float(np.log(base / (1.0 - base)))
-        F_train = np.full(len(yt), intercept)
-    else:
-        intercept = float(yt.mean())
-        if np.ptp(yt) == 0.0:
-            metadata["constant_target"] = True
-            return AdditiveModel(intercept, link, schema, shapes, [], metadata)
-        residual = yt - intercept
+class _Term(NamedTuple):
+    """One lookup table of a model, flattened: a feature's shape or a pair's grid.
 
-    if valid_rows is not None:
-        Cv = _columns(X.codes, valid_rows)
-        yv = y[valid_rows]
-        if logistic and not np.all(np.isin(yv, (0.0, 1.0))):
-            raise DataError("classification targets must be 0 or 1")
-        F_valid = np.full(len(yv), intercept)
+    ``update`` gets the visit's gradient and Hessian sums per cell, the Newton
+    clip (None for squared error) and the entry gate: None once the term has
+    had an update, else ``split_significance`` times the noise scale.
+    """
 
+    train: np.ndarray  # cell of each training row
+    valid: np.ndarray | None  # cell of each validation row
+    counts: np.ndarray  # training rows per cell
+    update: Callable  # (sum_g, denom, clip, gate) -> clipped leaf values, or None
+
+
+def _segment_update(leaves: int, sum_g, denom, clip, gate):
+    """A feature's visit: leaf values of its segment tree, or None. Each split
+    of an inactive feature's tree must gain more than ``gate``."""
+    bounds = _best_tree(sum_g, denom, leaves, _MIN_GAIN if gate is None else max(_MIN_GAIN, gate))
+    return None if len(bounds) == 2 else _leaf_values(sum_g, denom, bounds, clip)
+
+
+def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate):
+    """A pair's visit: leaf values of its rectangle tree, flattened, or None."""
+    SG, DN = sum_g.reshape(shape), denom.reshape(shape)
+    rects = _best_rect_tree(SG, DN, leaves)
+    if len(rects) == 1:
+        return None
+    # A pure interaction is flat along each axis, so its first cut gains
+    # nothing; entry is judged on the whole tree instead, one chi-square
+    # budget per accepted split.
+    if gate is not None and _rect_tree_gain(SG, DN, rects) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
+        return None
+    V = np.zeros(shape)
+    for r0, r1, c0, c1 in rects:
+        d = DN[r0:r1, c0:c1].sum()
+        if d > _MIN_HESSIAN:
+            v = SG[r0:r1, c0:c1].sum() / d
+            V[r0:r1, c0:c1] = v if clip is None else np.clip(v, -clip, clip)
+    return V.ravel()
+
+
+def _boost(terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, logistic: bool):
+    """Cyclic boosting of ``terms`` from the decisions ``F_train`` of the
+    training rows and ``F_valid`` of the validation rows (None without them).
+
+    Returns the values of each term (those of the best round when validation
+    improved), the rounds run, the best round and its validation loss (0 and
+    inf otherwise), and the per-round training and validation losses.
+    """
+    values = [np.zeros(len(t.counts)) for t in terms]
+    active = [False] * len(terms)
+    clip = _NEWTON_CLIP if logistic else None
+    if not logistic:
+        residual = yt - F_train
     train_trace: list[float] = []
     valid_trace: list[float] = []
     best_loss = np.inf
-    best_shapes = None
+    best_values = None
     best_round = 0
     stale = 0
     rounds_run = 0
-
-    active = [False] * p
     # Gradient, Hessian and noise scale of the current F_train; a visit that
     # finds no split leaves them valid, so they are recomputed only after an
-    # update, and the noise scale only while some feature is inactive.
+    # update, and the noise scale only while some term is inactive.
     grad = hess = noise_scale = None
     for rnd in range(config.max_rounds):
         rounds_run = rnd + 1
-        for j in range(p):
-            col = Ct[j]
-            nb = schema.n_bins(j)
+        for k, term in enumerate(terms):
+            n_cells = len(term.counts)
             if logistic:
                 if grad is None:
                     prob = sigmoid(F_train)
                     grad = yt - prob
                     hess = prob * (1.0 - prob)
-                sum_g = np.bincount(col, weights=grad, minlength=nb)
-                denom = np.bincount(col, weights=hess, minlength=nb)
-                clip = _NEWTON_CLIP
+                sum_g = np.bincount(term.train, weights=grad, minlength=n_cells)
+                denom = np.bincount(term.train, weights=hess, minlength=n_cells)
             else:
-                sum_g = np.bincount(col, weights=residual, minlength=nb)
-                denom = counts[j]
-                clip = None
-            if active[j]:
-                min_gain = _MIN_GAIN
-            else:
+                sum_g = np.bincount(term.train, weights=residual, minlength=n_cells)
+                denom = term.counts
+            gate = None
+            if not active[k]:
                 if noise_scale is None:
                     if logistic:
                         noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
                     else:
                         noise_scale = float(residual @ residual) / len(residual)
-                min_gain = max(_MIN_GAIN, config.split_significance * noise_scale)
-            bounds = _best_tree(sum_g, denom, config.leaves, min_gain)
-            if len(bounds) == 2:
+                gate = config.split_significance * noise_scale
+            vals = term.update(sum_g, denom, clip, gate)
+            if vals is None:
                 continue
-            active[j] = True
-            vals = _leaf_values(sum_g, denom, bounds, clip) * config.learning_rate
-            shapes[j] += vals
-            step = vals.take(col)
+            active[k] = True
+            vals *= config.learning_rate
+            values[k] += vals
+            step = vals.take(term.train)
             if logistic:
                 F_train += step
             else:
                 residual -= step
             grad = hess = noise_scale = None
-            if valid_rows is not None:
-                F_valid += vals.take(Cv[j])
+            if F_valid is not None:
+                F_valid += vals.take(term.valid)
 
         if logistic:
             train_trace.append(mean_nll(yt, F_train))
         else:
             train_trace.append(float(np.mean(residual**2)))
-        if valid_rows is None:
+        if F_valid is None:
             continue
         loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
         valid_trace.append(loss)
         if loss < best_loss - config.min_improvement:
             best_loss = loss
-            best_shapes = [h.copy() for h in shapes]
+            best_values = [v.copy() for v in values]
             best_round = rnd + 1
             stale = 0
         else:
@@ -403,8 +421,47 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
             if stale >= config.patience:
                 break
 
-    if valid_rows is not None and best_shapes is not None:
-        shapes = best_shapes
+    if best_values is not None:
+        values = best_values
+    return values, rounds_run, best_round, best_loss, train_trace, valid_trace
+
+
+def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str) -> AdditiveModel:
+    logistic = link == LOGISTIC
+    y = _checked_targets(targets, X.n_rows, logistic)
+    train_rows, valid_rows = _split_rows(X.n_rows, validation)
+
+    schema = X.schema
+    yt = y[train_rows]
+    metadata: dict = {"link": link, "n_train": len(train_rows)}
+    if logistic:
+        base = float(yt.mean())
+        if base in (0.0, 1.0):
+            raise TrainingError("classification targets contain a single class")
+        intercept = float(np.log(base / (1.0 - base)))
+    else:
+        intercept = float(yt.mean())
+        if np.ptp(yt) == 0.0:
+            metadata["constant_target"] = True
+            shapes = [np.zeros(schema.n_bins(j)) for j in range(schema.n_features)]
+            return AdditiveModel(intercept, link, schema, shapes, [], metadata)
+
+    Ct = _columns(X.codes, train_rows)
+    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
+    update = partial(_segment_update, config.leaves)
+    terms = []
+    for j in range(schema.n_features):
+        counts = np.bincount(Ct[j], minlength=schema.n_bins(j)).astype(float)
+        terms.append(_Term(Ct[j], None if Cv is None else Cv[j], counts, update))
+    yv = F_valid = None
+    if valid_rows is not None:
+        yv = y[valid_rows]
+        F_valid = np.full(len(yv), intercept)
+    shapes, rounds_run, best_round, best_loss, train_trace, valid_trace = _boost(
+        terms, yt, np.full(len(yt), intercept), yv, F_valid, config, logistic
+    )
+
+    if best_round:
         metadata["best_round"] = best_round
         metadata["valid_loss"] = best_loss
         metadata["valid_loss_trace"] = valid_trace
@@ -412,7 +469,7 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
     metadata["stopped_early"] = valid_rows is not None and rounds_run < config.max_rounds
     metadata["train_loss_trace"] = train_trace
 
-    intercept += _center_shapes(shapes, counts)
+    intercept += _center_shapes(shapes, [t.counts for t in terms])
     return AdditiveModel(intercept, link, schema, shapes, [], metadata)
 
 
@@ -568,9 +625,8 @@ def fit_interactions(
             return model
         if n_pairs > max_pairs:
             raise ConfigError(f"n_pairs={n_pairs} exceeds the {max_pairs} available pairs")
-    y = np.asarray(targets, dtype=float)
-    if len(y) != X.n_rows:
-        raise DataError("targets length does not match the binned matrix")
+    logistic = model.link == LOGISTIC
+    y = _checked_targets(targets, X.n_rows, logistic)
     train_rows, valid_rows = _split_rows(X.n_rows, validation)
 
     if pairs is None:
@@ -581,122 +637,40 @@ def fit_interactions(
         for i, j in pairs:
             if not 0 <= i < j < p:
                 raise ConfigError(f"bad feature pair ({i}, {j})")
+        if len(set(pairs)) < len(pairs):
+            raise ConfigError("a feature pair is given more than once")
     if not pairs:
         return model
 
     schema = model.schema
-    logistic = model.link == LOGISTIC
-    yt = y[train_rows]
-    Xt = X.take(train_rows)
-    F_train = model.decision(Xt)
-    if not logistic:
-        residual = yt - F_train
-
-    grids = {}
-    cells_train = {}
-    cell_counts = {}
+    decision = model.decision(X)
+    Ct = _columns(X.codes, train_rows)
+    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
+    terms = []
     for i, j in pairs:
         bi, bj = schema.n_bins(i), schema.n_bins(j)
-        grids[(i, j)] = np.zeros((bi, bj))
-        cell = Xt.column(i).astype(np.int64) * bj + Xt.column(j)
-        cells_train[(i, j)] = cell
-        cell_counts[(i, j)] = np.bincount(cell, minlength=bi * bj).astype(float).reshape(bi, bj)
-
+        cell = Ct[i] * bj + Ct[j]
+        counts = np.bincount(cell, minlength=bi * bj).astype(float)
+        valid = None if Cv is None else Cv[i] * bj + Cv[j]
+        terms.append(_Term(cell, valid, counts, partial(_rect_update, config.leaves, (bi, bj))))
+    yv = F_valid = None
     if valid_rows is not None:
         yv = y[valid_rows]
-        Xv = X.take(valid_rows)
-        F_valid = model.decision(Xv)
-        cells_valid = {
-            (i, j): Xv.column(i).astype(np.int64) * schema.n_bins(j) + Xv.column(j) for i, j in pairs
-        }
-
-    valid_trace: list[float] = []
-    best_loss = np.inf
-    best_grids = None
-    best_round = 0
-    stale = 0
-    rounds_run = 0
-
-    active_pairs = {pair: False for pair in pairs}
-    grad = hess = None  # valid until the next update of F_train, as in _train
-    for rnd in range(config.max_rounds):
-        rounds_run = rnd + 1
-        for i, j in pairs:
-            bi, bj = schema.n_bins(i), schema.n_bins(j)
-            cell = cells_train[(i, j)]
-            if logistic:
-                if grad is None:
-                    prob = sigmoid(F_train)
-                    grad = yt - prob
-                    hess = prob * (1.0 - prob)
-                SG = np.bincount(cell, weights=grad, minlength=bi * bj).reshape(bi, bj)
-                DN = np.bincount(cell, weights=hess, minlength=bi * bj).reshape(bi, bj)
-                clip = _NEWTON_CLIP
-            else:
-                SG = np.bincount(cell, weights=residual, minlength=bi * bj).reshape(bi, bj)
-                DN = cell_counts[(i, j)]
-                clip = None
-            rects = _best_rect_tree(SG, DN, config.leaves)
-            if len(rects) == 1:
-                continue
-            if not active_pairs[(i, j)]:
-                if logistic:
-                    noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
-                else:
-                    noise_scale = float(residual @ residual) / len(residual)
-                # A pure interaction is flat along each axis, so its first cut
-                # gains nothing; entry is judged on the whole tree instead,
-                # one chi-square budget per accepted split.
-                entry_bar = config.split_significance * noise_scale * (len(rects) - 1)
-                if _rect_tree_gain(SG, DN, rects) <= max(_MIN_GAIN, entry_bar):
-                    continue
-                active_pairs[(i, j)] = True
-            V = np.zeros((bi, bj))
-            for r0, r1, c0, c1 in rects:
-                d = DN[r0:r1, c0:c1].sum()
-                if d > _MIN_HESSIAN:
-                    v = SG[r0:r1, c0:c1].sum() / d
-                    if clip is not None:
-                        v = float(np.clip(v, -clip, clip))
-                    V[r0:r1, c0:c1] = v
-            V *= config.learning_rate
-            grids[(i, j)] += V
-            step = V.ravel()[cell]
-            if logistic:
-                F_train += step
-            else:
-                residual -= step
-            grad = hess = None
-            if valid_rows is not None:
-                F_valid += V.ravel()[cells_valid[(i, j)]]
-
-        if valid_rows is None:
-            continue
-        loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
-        valid_trace.append(loss)
-        if loss < best_loss - config.min_improvement:
-            best_loss = loss
-            best_grids = {k: v.copy() for k, v in grids.items()}
-            best_round = rnd + 1
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-
-    if valid_rows is not None and best_grids is not None:
-        grids = best_grids
+        F_valid = decision[valid_rows]
+    grids, rounds_run, best_round, best_loss, _, _ = _boost(
+        terms, y[train_rows], decision[train_rows], yv, F_valid, config, logistic
+    )
 
     intercept = model.intercept
     surfaces = []
-    for i, j in pairs:
-        grid = grids[(i, j)]
-        mass = cell_counts[(i, j)]
+    for (i, j), term, grid in zip(pairs, terms, grids):
+        shape = (schema.n_bins(i), schema.n_bins(j))
+        mass = term.counts.reshape(shape)
         mass = mass / mass.sum()
+        grid = grid.reshape(shape)
         mu = float(np.sum(mass * grid))
-        grid = grid - mu
         intercept += mu
-        surfaces.append(InteractionSurface(i, j, (schema.names[i], schema.names[j]), grid))
+        surfaces.append(InteractionSurface(i, j, (schema.names[i], schema.names[j]), grid - mu))
 
     metadata = dict(model.metadata)
     metadata["interaction_pairs"] = [[i, j] for i, j in pairs]

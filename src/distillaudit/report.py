@@ -10,46 +10,18 @@ guarantees).
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 from . import svg
-from .calibrate import CalibrationDiagnostics, CalibrationMap
+from .calibrate import CalibrationDiagnostics
 from .compare import ComparisonSummary, FeatureComparison
-from .data import AuditDataset
+from .data import AuditDataset, dump_json
 from .distill import FidelityMetrics, PairedEnsembles
 
 FORMAT_VERSION = 1
-
-
-def _clean(obj):
-    """Make a structure JSON-safe: numpy scalars unwrapped, NaN/inf to None."""
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def json_text(obj) -> str:
-    return json.dumps(_clean(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def dump_json(path: str | Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(obj))
 
 
 def data_fingerprint(data: AuditDataset) -> str:

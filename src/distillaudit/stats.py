@@ -32,15 +32,6 @@ def mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
     return -float(np.sum(special.log_expit(np.where(y == 1, logits, -logits)))) / len(y)
 
 
-def pseudo_residuals(y: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Boosting pseudo-residuals for the Bernoulli log-likelihood: y - sigmoid(logits).
-
-    These equal the per-row gradient of :func:`bernoulli_loglik` with respect
-    to the logits, which is what each boosting round fits.
-    """
-    return y - sigmoid(logits)
-
-
 def rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((np.asarray(a, float) - np.asarray(b, float)) ** 2)))
 

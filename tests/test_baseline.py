@@ -6,10 +6,11 @@ import pytest
 import distillaudit as da
 from distillaudit.baseline import (
     design_matrix,
-    linear_fidelity,
+    linear_fold_metrics,
     train_linear,
     train_linear_bags,
 )
+from distillaudit.data import dump_json, load_json
 from distillaudit.gam import IDENTITY, LOGISTIC
 from distillaudit.stats import sigmoid
 
@@ -164,7 +165,7 @@ class TestLinearBags:
     def test_fold_metrics_near_zero_rmse_on_linear_score(self):
         data = self.dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        fm = linear_fidelity(data, plan)
+        fm = linear_fold_metrics(data, plan, train_linear_bags(data, plan))
         assert fm.name == "linear"
         assert fm.score_rmse_mean < 1e-3
         assert fm.outcome_auc_mean > 0.7
@@ -184,7 +185,7 @@ class TestLinearBags:
         A, columns = design_matrix(data)
         model = train_linear(A, data.score, IDENTITY, columns)
         path = tmp_path / "m.json"
-        model.save(path)
-        loaded = da.LinearModel.load(path)
+        dump_json(path, model.to_json_dict())
+        loaded = da.LinearModel.from_json_dict(load_json(path))
         np.testing.assert_allclose(loaded.predict(A), model.predict(A), atol=1e-12)
         assert loaded.columns == model.columns

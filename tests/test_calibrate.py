@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import distillaudit as da
 from distillaudit.calibrate import pav_fit
+from distillaudit.data import dump_json, load_json
 from distillaudit.stats import weighted_line_fit
 
 
@@ -160,8 +161,8 @@ class TestCalibrationMap:
     def test_json_round_trip(self, tmp_path):
         cmap, scores, _ = self.fit_simple()
         path = tmp_path / "map.json"
-        cmap.save(path)
-        loaded = da.CalibrationMap.load(path)
+        dump_json(path, cmap.to_json_dict())
+        loaded = da.CalibrationMap.from_json_dict(load_json(path))
         np.testing.assert_array_equal(loaded.apply(scores), cmap.apply(scores))
         assert loaded.epsilon == cmap.epsilon
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distillaudit as da
-from distillaudit.data import CATEGORICAL, NUMERIC
+from distillaudit.data import CATEGORICAL, NUMERIC, dump_json, load_json
 
 
 def bin_index_oracle(value: float, edges) -> int:
@@ -93,8 +93,8 @@ class TestSchema:
         )
         schema = da.fit_schema(ds, max_bins=10)
         path = tmp_path / "schema.json"
-        schema.save(path)
-        loaded = da.FeatureSchema.load(path)
+        dump_json(path, schema.to_json_dict())
+        loaded = da.FeatureSchema.from_json_dict(load_json(path))
         assert loaded == schema
 
 

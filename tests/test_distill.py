@@ -17,6 +17,7 @@ import pytest
 import distillaudit as da
 from distillaudit import distill
 from distillaudit.cli import EXIT_TRAINING, main
+from distillaudit.data import dump_json, load_json
 from distillaudit.gam import IDENTITY, LOGISTIC
 
 
@@ -120,8 +121,8 @@ class TestBagPlan:
     def test_json_round_trip(self, tmp_path):
         plan = da.plan_bags(100, K=2, L=2, seed=4)
         path = tmp_path / "plan.json"
-        plan.save(path)
-        loaded = da.BagPlan.load(path)
+        dump_json(path, plan.to_json_dict())
+        loaded = da.BagPlan.from_json_dict(load_json(path))
         assert plans_equal(loaded, plan)
         assert loaded.seed == plan.seed
         assert loaded.K == plan.K and loaded.L == plan.L
@@ -275,7 +276,7 @@ class TestPairedTraining:
         files = sorted(p.name for p in tmp_path.iterdir())
         assert "plan.json" in files and "schema.json" in files
         assert "mimic_k0_l0.json" in files and "outcome_k1_l1.json" in files
-        loaded = da.AdditiveModel.load(tmp_path / "mimic_k0_l0.json")
+        loaded = da.AdditiveModel.from_json_dict(load_json(tmp_path / "mimic_k0_l0.json"))
         X = da.bin_dataset(data, paired.schema)
         np.testing.assert_allclose(
             loaded.decision(X), paired.mimic.models[0][0].decision(X), atol=1e-12

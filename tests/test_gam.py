@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import distillaudit as da
+from distillaudit.data import dump_json, load_json
 from distillaudit.gam import (
     _MIN_GAIN,
     _MIN_HESSIAN,
@@ -23,7 +24,7 @@ from distillaudit.gam import (
     _split_rows,
     _split_segment,
 )
-from distillaudit.stats import bernoulli_loglik, mean_nll, pseudo_residuals, sigmoid
+from distillaudit.stats import bernoulli_loglik, mean_nll, sigmoid
 
 
 def dataset_from_column(values, name="x"):
@@ -139,7 +140,7 @@ class TestClassification:
         rng = np.random.default_rng(6)
         logits = rng.normal(size=10)
         y = (rng.random(10) < 0.5).astype(float)
-        grad = pseudo_residuals(y, logits)
+        grad = y - sigmoid(logits)  # what each classification round fits
         h = 1e-6
         for i in range(10):
             up, down = logits.copy(), logits.copy()
@@ -238,8 +239,8 @@ class TestModelObject:
     def test_json_round_trip(self, tmp_path):
         model, X = self.make_model()
         path = tmp_path / "model.json"
-        model.save(path)
-        loaded = da.AdditiveModel.load(path)
+        dump_json(path, model.to_json_dict())
+        loaded = da.AdditiveModel.from_json_dict(load_json(path))
         np.testing.assert_array_equal(loaded.decision(X), model.decision(X))
         assert loaded.link == model.link
 
@@ -317,6 +318,27 @@ class TestInteractions:
             manual += h[X.column(j)]
         manual += surf.values[X.column(surf.i), X.column(surf.j)]
         np.testing.assert_allclose(model.decision(X), manual)
+
+    def test_repeated_pairs_rejected(self):
+        ds, X, _ = self.interaction_data(seed=3, n=500)
+        cfg = da.TrainConfig(max_rounds=5, learning_rate=0.3)
+        model = da.train_regressor(X, ds.score, cfg)
+        with pytest.raises(da.ConfigError):
+            da.fit_interactions(model, X, ds.score, 1, cfg, pairs=[(0, 1), (0, 1)])
+
+    def test_targets_checked_like_main_fits(self):
+        ds, X, _ = self.interaction_data(seed=3, n=500)
+        cfg = da.TrainConfig(max_rounds=5, learning_rate=0.3)
+        y = (ds.score > np.median(ds.score)).astype(float)
+        for train, bad in ((da.train_regressor, ds.score.copy()), (da.train_classifier, y.copy())):
+            model = train(X, bad, cfg)
+            bad[7] = np.nan
+            with pytest.raises(da.DataError):
+                da.fit_interactions(model, X, bad, 1, cfg, pairs=[(0, 1)])
+        bad = y.copy()
+        bad[7] = 2.0
+        with pytest.raises(da.DataError):
+            da.fit_interactions(model, X, bad, 1, cfg, pairs=[(0, 1)])
 
     def test_logistic_interactions_improve_likelihood(self):
         rng = np.random.default_rng(12)
@@ -566,3 +588,205 @@ class TestVisitLoopOracle:
             assert _best_tree(sum_g, denom, leaves, min_gain) == reference_best_tree(
                 sum_g, denom, leaves, min_gain
             )
+
+
+# Reference copies of the pair fit and its rectangle search from before the
+# feature and pair loops became one loop over terms. The current code must
+# reproduce them bit for bit.
+
+
+def reference_split_rect(SG, DN, rect, axis):
+    r0, r1, c0, c1 = rect
+    if axis == 0:
+        g = SG[r0:r1, c0:c1].sum(axis=1)
+        d = DN[r0:r1, c0:c1].sum(axis=1)
+        off = r0
+    else:
+        g = SG[r0:r1, c0:c1].sum(axis=0)
+        d = DN[r0:r1, c0:c1].sum(axis=0)
+        off = c0
+    cand = reference_split_segment(g, d, 0, len(g))
+    if cand is None:
+        return None
+    return cand[0], off + cand[1]
+
+
+def reference_best_rect_tree(SG, DN, max_leaves, min_gain=_MIN_GAIN):
+    rects = [(0, SG.shape[0], 0, SG.shape[1])]
+    for _ in range(max_leaves - 1):
+        best = None
+        for ri, rect in enumerate(rects):
+            for axis in (0, 1):
+                cand = reference_split_rect(SG, DN, rect, axis)
+                if cand is not None and (best is None or cand[0] > best[0]):
+                    best = (cand[0], ri, axis, cand[1])
+        if best is None or best[0] <= min_gain:
+            break
+        _, ri, axis, cut = best
+        r0, r1, c0, c1 = rects[ri]
+        if axis == 0:
+            children = [(r0, cut, c0, c1), (cut, r1, c0, c1)]
+        else:
+            children = [(r0, r1, c0, cut), (r0, r1, cut, c1)]
+        rects[ri : ri + 1] = children
+    return rects
+
+
+def reference_rect_tree_gain(SG, DN, rects):
+    total_g = float(SG.sum())
+    total_d = float(DN.sum())
+    if total_d <= _MIN_HESSIAN:
+        return 0.0
+    gain = -(total_g**2) / total_d
+    for r0, r1, c0, c1 in rects:
+        d = float(DN[r0:r1, c0:c1].sum())
+        if d > _MIN_HESSIAN:
+            gain += float(SG[r0:r1, c0:c1].sum()) ** 2 / d
+    return gain
+
+
+def reference_fit_interactions(model, X, targets, n_pairs, config, validation=None, pairs=None):
+    y = np.asarray(targets, dtype=float)
+    train_rows, valid_rows = _split_rows(X.n_rows, validation)
+    if pairs is None:
+        ranked = da.rank_interaction_pairs(model, X, y, rows=train_rows)
+        pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
+    schema = model.schema
+    logistic = model.link == LOGISTIC
+    yt = y[train_rows]
+    Xt = X.take(train_rows)
+    F_train = model.decision(Xt)
+    if not logistic:
+        residual = yt - F_train
+    grids, cells_train, cell_counts = {}, {}, {}
+    for i, j in pairs:
+        bi, bj = schema.n_bins(i), schema.n_bins(j)
+        grids[(i, j)] = np.zeros((bi, bj))
+        cell = Xt.column(i).astype(np.int64) * bj + Xt.column(j)
+        cells_train[(i, j)] = cell
+        cell_counts[(i, j)] = np.bincount(cell, minlength=bi * bj).astype(float).reshape(bi, bj)
+    if valid_rows is not None:
+        yv = y[valid_rows]
+        Xv = X.take(valid_rows)
+        F_valid = model.decision(Xv)
+        cells_valid = {
+            (i, j): Xv.column(i).astype(np.int64) * schema.n_bins(j) + Xv.column(j) for i, j in pairs
+        }
+    best_loss = np.inf
+    best_grids = None
+    best_round = 0
+    stale = 0
+    rounds_run = 0
+    active_pairs = {pair: False for pair in pairs}
+    for rnd in range(config.max_rounds):
+        rounds_run = rnd + 1
+        for i, j in pairs:
+            bi, bj = schema.n_bins(i), schema.n_bins(j)
+            cell = cells_train[(i, j)]
+            if logistic:
+                prob = sigmoid(F_train)
+                grad = yt - prob
+                hess = prob * (1.0 - prob)
+                SG = np.bincount(cell, weights=grad, minlength=bi * bj).reshape(bi, bj)
+                DN = np.bincount(cell, weights=hess, minlength=bi * bj).reshape(bi, bj)
+                clip = _NEWTON_CLIP
+            else:
+                SG = np.bincount(cell, weights=residual, minlength=bi * bj).reshape(bi, bj)
+                DN = cell_counts[(i, j)]
+                clip = None
+            rects = reference_best_rect_tree(SG, DN, config.leaves)
+            if len(rects) == 1:
+                continue
+            if not active_pairs[(i, j)]:
+                if logistic:
+                    noise_scale = float(grad @ grad) / max(float(hess.sum()), _MIN_HESSIAN)
+                else:
+                    noise_scale = float(residual @ residual) / len(residual)
+                entry_bar = config.split_significance * noise_scale * (len(rects) - 1)
+                if reference_rect_tree_gain(SG, DN, rects) <= max(_MIN_GAIN, entry_bar):
+                    continue
+                active_pairs[(i, j)] = True
+            V = np.zeros((bi, bj))
+            for r0, r1, c0, c1 in rects:
+                d = DN[r0:r1, c0:c1].sum()
+                if d > _MIN_HESSIAN:
+                    v = SG[r0:r1, c0:c1].sum() / d
+                    if clip is not None:
+                        v = float(np.clip(v, -clip, clip))
+                    V[r0:r1, c0:c1] = v
+            V *= config.learning_rate
+            grids[(i, j)] += V
+            step = V.ravel()[cell]
+            if logistic:
+                F_train += step
+            else:
+                residual -= step
+            if valid_rows is not None:
+                F_valid += V.ravel()[cells_valid[(i, j)]]
+        if valid_rows is None:
+            continue
+        loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
+        if loss < best_loss - config.min_improvement:
+            best_loss = loss
+            best_grids = {k: v.copy() for k, v in grids.items()}
+            best_round = rnd + 1
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    if valid_rows is not None and best_grids is not None:
+        grids = best_grids
+    intercept = model.intercept
+    surfaces = []
+    for i, j in pairs:
+        grid = grids[(i, j)]
+        mass = cell_counts[(i, j)]
+        mass = mass / mass.sum()
+        mu = float(np.sum(mass * grid))
+        grid = grid - mu
+        intercept += mu
+        surfaces.append(da.InteractionSurface(i, j, (schema.names[i], schema.names[j]), grid))
+    metadata = dict(model.metadata)
+    metadata["interaction_pairs"] = [[i, j] for i, j in pairs]
+    metadata["interaction_rounds_run"] = rounds_run
+    if valid_rows is not None:
+        metadata["interaction_best_round"] = best_round
+        metadata["interaction_valid_loss"] = best_loss
+    return da.AdditiveModel(
+        intercept, model.link, schema, [h.copy() for h in model.shapes], list(model.surfaces) + surfaces, metadata
+    )
+
+
+class TestInteractionOracle:
+    """Pair fits equal the reference pair loop's, byte for byte, over links,
+    validation, early stopping, tree sizes, grid sizes (up to 129 x 129
+    cells), the entry gate, and screened or given pairs."""
+
+    @pytest.mark.parametrize("max_bins", [8, 32, 128])
+    @pytest.mark.parametrize("link", [IDENTITY, LOGISTIC])
+    @pytest.mark.parametrize("validated", [False, True])
+    @pytest.mark.parametrize("pairs", [None, [(0, 2), (1, 3)]])
+    def test_pair_fits_match_reference(self, max_bins, link, validated, pairs):
+        ds, X = oracle_table(max_bins)
+        if link == LOGISTIC:
+            rows = np.flatnonzero(ds.has_outcome)
+            X, y = X.take(rows), ds.outcome[rows]
+        else:
+            y = ds.score
+        validation = np.arange(0, X.n_rows, 5) if validated else None
+        train = da.train_regressor if link == IDENTITY else da.train_classifier
+        mains = train(X, y, da.TrainConfig(learning_rate=0.3, max_rounds=12), validation=validation)
+        configs = [
+            da.TrainConfig(learning_rate=0.3, max_rounds=6, leaves=leaves, split_significance=sig)
+            for leaves in (2, 3, 4, 5)
+            for sig in (0.0, 40.0)
+        ]
+        configs.append(da.TrainConfig(learning_rate=0.9, max_rounds=300, patience=3, leaves=4, split_significance=0.0))
+        for config in configs:
+            model = da.fit_interactions(mains, X, y, 2, config, validation=validation, pairs=pairs)
+            want = reference_fit_interactions(mains, X, y, 2, config, validation, pairs)
+            assert json.dumps(model.to_json_dict()) == json.dumps(want.to_json_dict()), config
+            assert len(model.surfaces) == 2
+        if validated:
+            assert model.metadata["interaction_rounds_run"] < 300

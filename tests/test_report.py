@@ -8,30 +8,42 @@ import numpy as np
 import pytest
 
 import distillaudit as da
+from distillaudit.data import dump_json
 from distillaudit.report import (
     _safe_name,
     data_fingerprint,
-    json_text,
     write_curve_csv,
 )
 from distillaudit.svg import MIMIC_COLOR, OUTCOME_COLOR, heatmap_chart, scatter_chart, shape_chart
 
 
+@pytest.fixture
+def json_text(tmp_path):
+    """The text ``dump_json`` writes for an object."""
+
+    def text(obj):
+        path = tmp_path / "out.json"
+        dump_json(path, obj)
+        return path.read_text(encoding="utf-8")
+
+    return text
+
+
 class TestJsonText:
-    def test_sorted_keys_and_trailing_newline(self):
+    def test_sorted_keys_and_trailing_newline(self, json_text):
         out = json_text({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
         assert out.endswith("\n")
 
-    def test_numpy_scalars_unwrapped(self):
+    def test_numpy_scalars_unwrapped(self, json_text):
         blob = json.loads(json_text({"x": np.float64(1.5), "n": np.int32(3), "b": np.bool_(True)}))
         assert blob == {"x": 1.5, "n": 3, "b": True}
 
-    def test_non_finite_values_become_null(self):
-        blob = json.loads(json_text({"a": float("nan"), "b": np.inf, "c": [1.0, -np.inf]}))
-        assert blob == {"a": None, "b": None, "c": [1.0, None]}
+    def test_non_finite_values_become_null(self, json_text):
+        blob = json.loads(json_text({"a": float("nan"), "b": np.inf, "c": [1.0, -np.inf], "d": [1e308, 1e308]}))
+        assert blob == {"a": None, "b": None, "c": [1.0, None], "d": [1e308, 1e308]}
 
-    def test_identical_input_identical_bytes(self):
+    def test_identical_input_identical_bytes(self, json_text):
         payload = {"z": [1, 2, {"k": 0.1}], "a": "text"}
         assert json_text(payload) == json_text(json.loads(json.dumps(payload)))
 
