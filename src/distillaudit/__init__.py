@@ -92,4 +92,31 @@ from .synth import (
     gen_partial_use,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # baseline
+    "LinearBags", "LinearModel", "design_matrix", "linear_fold_metrics", "train_linear",
+    "train_linear_bags",
+    # calibrate
+    "AUTO_LINEARITY_THRESHOLD", "CalibrationDiagnostics", "CalibrationMap", "decide_calibration",
+    "diagnose", "fit_calibration", "pav_fit",
+    # compare
+    "ComparisonSummary", "ContributionCurve", "DifferenceCurve", "FeatureComparison",
+    "SurfaceComparison", "curve", "difference", "discrepancy_score", "little_bags_variance",
+    "summarize",
+    # data
+    "AuditDataset", "BinnedMatrix", "FeatureSchema", "FeatureSpec", "LoadConfig", "bin_dataset",
+    "fit_schema", "load_csv",
+    # distill
+    "BagEnsemble", "BagPlan", "FidelityMetrics", "PairedEnsembles", "fidelity", "fold_fidelity",
+    "plan_bags", "train_paired", "with_interactions",
+    # errors
+    "AuditError", "ConfigError", "DataError", "DegenerateStatisticsError", "TrainingError",
+    # gam
+    "AdditiveModel", "InteractionSurface", "PairScore", "TrainConfig", "fit_interactions",
+    "rank_interaction_pairs", "train_classifier", "train_regressor",
+    # missing
+    "CorrelationTest", "ErrorPairs", "correlation_test", "error_pairs", "load_error_pairs_csv",
+    # synth
+    "GENERATORS", "gen_hidden_feature", "gen_interaction", "gen_kinked_score", "gen_linear_score",
+    "gen_partial_use",
+]

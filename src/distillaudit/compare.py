@@ -142,12 +142,12 @@ class ComparisonSummary:
                     "feature": fc.feature,
                     "kind": fc.kind,
                     "bins": fc.bin_labels,
-                    "bin_mass": [float(v) for v in fc.bin_mass],
+                    "bin_mass": fc.bin_mass,
                     "mimic": _curve_json(fc.mimic),
                     "outcome": _curve_json(fc.outcome),
                     "difference": {
                         **_curve_json(fc.diff),
-                        "significant": [bool(b) for b in fc.diff.significant],
+                        "significant": fc.diff.significant,
                     },
                     "discrepancy": fc.discrepancy,
                 }
@@ -160,9 +160,9 @@ class ComparisonSummary:
                     "i": sc.i,
                     "j": sc.j,
                     "names": list(sc.names),
-                    "mimic_mean": [[float(v) for v in row] for row in sc.mimic_mean],
-                    "outcome_mean": [[float(v) for v in row] for row in sc.outcome_mean],
-                    "difference_mean": [[float(v) for v in row] for row in sc.diff_mean],
+                    "mimic_mean": sc.mimic_mean,
+                    "outcome_mean": sc.outcome_mean,
+                    "difference_mean": sc.diff_mean,
                 }
                 for sc in self.surfaces
             ],
@@ -171,12 +171,7 @@ class ComparisonSummary:
 
 
 def _curve_json(c) -> dict:
-    return {
-        "mean": [float(v) for v in c.mean],
-        "variance": [float(v) for v in c.variance],
-        "lower": [float(v) for v in c.lower],
-        "upper": [float(v) for v in c.upper],
-    }
+    return {"mean": c.mean, "variance": c.variance, "lower": c.lower, "upper": c.upper}
 
 
 def discrepancy_score(diff: DifferenceCurve, mass: np.ndarray) -> float:

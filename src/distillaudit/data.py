@@ -24,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -36,43 +37,110 @@ CATEGORICAL = "categorical"
 _DEFAULT_MISSING_MARKERS = ("", "na", "nan", "null", "none")
 
 
-_JSON_SCALARS = {int, str, bool, type(None)}
+def _float_text(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else "null"
 
 
-def _clean(obj):
-    """Make a structure JSON-safe: numpy scalars unwrapped, NaN/inf to None.
+def _scalar_text(v):
+    """JSON text of a scalar, or None when ``v`` is a container."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    if isinstance(v, np.integer):
+        return int.__repr__(int(v))
+    if isinstance(v, np.floating):
+        return _float_text(float(v))
+    return None
 
-    A flat list of plain ints and strings, or of floats with a finite sum, is
-    returned as it is, without a visit per item: saved models and the bag
-    plan hold hundreds of thousands of numbers, and visiting each took as
-    long as writing the file.
-    """
-    if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
+
+def _array_texts(a: np.ndarray) -> list[str]:
+    """Texts of a numeric array's items, flat in C order. Floats are formatted
+    once per distinct bit pattern (so ``-0.0`` stays apart from ``0.0``):
+    a pair grid holds a handful of distinct values among 16,641 cells."""
+    if a.dtype.kind == "f":
+        bits, inverse = np.unique(np.ascontiguousarray(a, np.float64).view(np.int64), return_inverse=True)
+        texts = np.array([_float_text(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        return texts[inverse.ravel()].tolist()
+    if a.dtype.kind == "b":
+        return ["true" if v else "false" for v in a.ravel().tolist()]
+    return list(map(int.__repr__, a.ravel().tolist()))
+
+
+def _write_nested(write, texts: list[str], shape: tuple[int, ...], nl: str) -> None:
+    """Write the flat ``texts`` as nested arrays of ``shape``, indented from ``nl``."""
+    if not shape[0]:
+        write("[]")
+        return
+    inner = nl + "  "
+    if len(shape) == 1:
+        write("[" + inner + ("," + inner).join(texts) + nl + "]")
+        return
+    step = len(texts) // shape[0]
+    write("[")
+    for r in range(shape[0]):
+        write(("," + inner) if r else inner)
+        _write_nested(write, texts[r * step : (r + 1) * step], shape[1:], inner)
+    write(nl + "]")
+
+
+def _write_json(write, obj, nl: str) -> None:
+    """Write ``obj`` as indented JSON; ``nl`` is a newline plus the current indent."""
+    text = _scalar_text(obj)
+    if text is not None:
+        write(text)
+        return
+    inner = nl + "  "
     if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds <= _JSON_SCALARS or (kinds == {float} and math.isfinite(sum(obj))):
-            return obj
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    if isinstance(obj, np.floating):
-        return _clean(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+        if not obj:
+            write("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        write("{")
+        for n, key in enumerate(sorted(items)):
+            write(("," if n else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(write, items[key], inner)
+        write(nl + "}")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype.kind in "biuf":
+            _write_nested(write, _array_texts(obj), obj.shape, nl)
+        else:
+            _write_json(write, obj.tolist(), nl)
+    elif isinstance(obj, (list, tuple)):
+        texts = list(map(_scalar_text, obj))
+        if None not in texts:
+            _write_nested(write, texts, (len(texts),), nl)
+            return
+        write("[")
+        for n, v in enumerate(obj):
+            write(("," if n else "") + inner)
+            _write_json(write, v, inner)
+        write(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(path: str | Path, obj) -> None:
-    """Write byte-stable JSON: keys sorted, two-space indent, floats via repr,
-    non-finite floats as null, trailing newline. ``json.dump`` streams the
-    text, so the bag plan's row lists never exist as one string."""
+    """Write byte-stable JSON: keys sorted, two-space indent, floats via
+    ``float.__repr__``, non-finite floats as null, strings ASCII-escaped, and
+    a trailing newline. The text is the one ``json.dump(..., sort_keys=True,
+    indent=2)`` writes for the same data with numpy scalars unwrapped, NaN and
+    infinity replaced by null and ndarrays as nested lists (``tolist``).
+
+    The writer streams: it formats each flat run of numbers (a list of
+    scalars or the last axis of an ndarray) in one join and writes it, so
+    no document, such as the bag plan's row lists, exists as one string.
+    ``json.dump`` with ``indent`` runs Python's pure-Python encoder, which
+    took most of the time an audit spends saving its models.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_clean(obj), fh, sort_keys=True, indent=2, allow_nan=False)
+        _write_json(fh.write, obj, "\n")
         fh.write("\n")
 
 

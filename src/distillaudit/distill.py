@@ -72,9 +72,9 @@ class BagPlan:
             "K": self.K,
             "L": self.L,
             "seed": self.seed,
-            "test": [list(map(int, t)) for t in self.test],
-            "train": [[list(map(int, b)) for b in fold] for fold in self.train],
-            "valid": [[list(map(int, b)) for b in fold] for fold in self.valid],
+            "test": self.test,
+            "train": self.train,
+            "valid": self.valid,
         }
 
     @classmethod

@@ -149,14 +149,9 @@ class AdditiveModel:
             "link": self.link,
             "intercept": self.intercept,
             "schema": self.schema.to_json_dict(),
-            "shapes": {name: list(map(float, h)) for name, h in zip(self.schema.names, self.shapes)},
+            "shapes": {name: np.asarray(h, float) for name, h in zip(self.schema.names, self.shapes)},
             "surfaces": [
-                {
-                    "i": s.i,
-                    "j": s.j,
-                    "names": list(s.names),
-                    "values": [list(map(float, row)) for row in s.values],
-                }
+                {"i": s.i, "j": s.j, "names": list(s.names), "values": np.asarray(s.values, float)}
                 for s in self.surfaces
             ],
             "metadata": self.metadata,

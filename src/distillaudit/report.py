@@ -5,6 +5,13 @@ a serialized model under ``models/`` plus the input data, and the JSON is
 byte-stable: keys sorted, floats via Python's repr, no timestamps (wall
 clock facts live in ``run_meta.json``, which is excluded from determinism
 guarantees).
+
+Every JSON file is written by ``data.dump_json``, a streaming writer that
+takes ndarrays as they are, formats each run of numbers in one join and
+each distinct float once, and writes the bytes ``json.dump(...,
+sort_keys=True, indent=2)`` would. Models and the comparison hand it their
+arrays without copying them into lists. The pair heatmaps compute their
+shades with numpy and format each row and column coordinate once.
 """
 
 from __future__ import annotations

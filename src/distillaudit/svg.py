@@ -27,6 +27,11 @@ NEUTRAL_COLOR = "#607d8b"
 MASS_COLOR = "#e0e0e0"
 AXIS_COLOR = "#424242"
 
+# Heatmap fill by shade (0-255) for cells >= 0, then by shade for cells < 0
+_HEAT_FILLS = np.array(
+    [f"#ff{s:02x}{s:02x}" for s in range(256)] + [f"#{s:02x}{s:02x}ff" for s in range(256)], dtype=object
+)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
@@ -185,22 +190,28 @@ def scatter_chart(
 
 
 def heatmap_chart(path: str | Path, title: str, grid: np.ndarray, x_name: str, y_name: str) -> None:
-    """Diverging heatmap of a pairwise grid: blue negative, red positive."""
+    """Diverging heatmap of a pairwise grid: blue negative, red positive.
+
+    The shades are computed with numpy, and each column's ``x``, each row's
+    ``y`` and the cell size are formatted once, not once per cell.
+    """
     grid = np.asarray(grid, float)
+    if not np.isfinite(grid).all():
+        raise ValueError("heatmap grid has non-finite values")
     rows, cols = grid.shape
     scale = float(np.max(np.abs(grid))) or 1.0
     canvas = _Canvas(0.0, float(cols), 0.0, float(rows))
     cell_w = (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / cols
     cell_h = (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / rows
+    v = grid / scale
+    # 255 * (1 + v) equals 255 * (1 - |v|) for v < 0; rint rounds half to even, as round does
+    shade = np.rint(255 * (1 - np.abs(v))).astype(np.intp)
+    fills = _HEAT_FILLS[shade + 256 * (v < 0)].tolist()
+    heads = [f'<rect x="{_fmt(MARGIN_LEFT + c * cell_w)}" y="' for c in range(cols)]
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     for r in range(rows):
-        for c in range(cols):
-            v = grid[r, c] / scale
-            if v >= 0:
-                red, green, blue = 255, int(round(255 * (1 - v))), int(round(255 * (1 - v)))
-            else:
-                red, green, blue = int(round(255 * (1 + v))), int(round(255 * (1 + v))), 255
-            fill = f"#{red:02x}{green:02x}{blue:02x}"
-            canvas.rect(MARGIN_LEFT + c * cell_w, HEIGHT - MARGIN_BOTTOM - (r + 1) * cell_h, cell_w, cell_h, fill)
+        tail = _fmt(HEIGHT - MARGIN_BOTTOM - (r + 1) * cell_h) + size
+        canvas.parts.extend([head + tail + fill + '"/>' for head, fill in zip(heads, fills[r])])
     canvas.frame(title, x_name, y_name)
     canvas.text(WIDTH - MARGIN_RIGHT, MARGIN_TOP - 16, f"|max| = {scale:.4f}", anchor="end")
     _write(path, canvas.render())

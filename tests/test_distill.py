@@ -37,7 +37,7 @@ def small_dataset(n_rows=400, seed=0, score_only=0):
 def model_bytes(paired):
     """Every model of both families as JSON text, in (family, k, l) order."""
     return [
-        json.dumps(m.to_json_dict())
+        json.dumps(m.to_json_dict(), default=np.ndarray.tolist)
         for ens in (paired.mimic, paired.outcome)
         for fold in ens.models
         for m in fold
