@@ -15,6 +15,11 @@ interval excludes zero.
 Mimic and outcome shapes live on a common log-odds scale only when the
 scores were calibrated; uncalibrated runs still report differences, flagged
 as cross-scale.
+
+Fitted feature pairs are reported as the bag means of their mimic, outcome
+and difference grids, with no bands. The means are summed one bag at a time,
+so the memory :func:`summarize` needs grows with the grid size, not with
+K x L times it.
 """
 
 from __future__ import annotations
@@ -116,7 +121,6 @@ class SurfaceComparison:
     mimic_mean: np.ndarray
     outcome_mean: np.ndarray
     diff_mean: np.ndarray
-    diff_variance: np.ndarray
 
 
 @dataclass
@@ -184,6 +188,25 @@ def discrepancy_score(diff: DifferenceCurve, mass: np.ndarray) -> float:
     return float(np.sum(mass[sig] * np.abs(diff.mean[sig])))
 
 
+def _surface_means(paired: PairedEnsembles, i: int, j: int) -> list[np.ndarray]:
+    """Bag means of one pair's mimic, outcome and mimic-minus-outcome grids.
+
+    The grids are added one bag at a time in (k, l) order to sums that start
+    from zero. That is the sum ``mean(axis=(0, 1))`` takes over the stacked
+    (K, L, bi, bj) tensor, down to its ``+0.0`` where every bag holds
+    ``-0.0``, so the means are bit-equal to it while only a few grids are
+    held at once.
+    """
+    schema = paired.schema
+    sums = np.zeros((3, schema.n_bins(i), schema.n_bins(j)))
+    for mimic, outcome in zip(paired.mimic.surface_grids(i, j), paired.outcome.surface_grids(i, j)):
+        sums[0] += mimic
+        sums[1] += outcome
+        sums[2] += mimic - outcome
+    sums /= paired.mimic.K * paired.mimic.L
+    return list(sums)
+
+
 def summarize(paired: PairedEnsembles) -> ComparisonSummary:
     """Build every curve, difference, and the discrepancy ranking for a run."""
     schema = paired.schema
@@ -206,22 +229,10 @@ def summarize(paired: PairedEnsembles) -> ComparisonSummary:
             )
         )
     surfaces = []
-    pairs = paired.meta.get("interaction_pairs", [])
-    for entry in pairs:
+    for entry in paired.meta.get("interaction_pairs", []):
         i, j = entry["i"], entry["j"]
-        mt = paired.mimic.surface_tensor(i, j)
-        ot = paired.outcome.surface_tensor(i, j)
-        surfaces.append(
-            SurfaceComparison(
-                i=i,
-                j=j,
-                names=(schema.names[i], schema.names[j]),
-                mimic_mean=mt.mean(axis=(0, 1)),
-                outcome_mean=ot.mean(axis=(0, 1)),
-                diff_mean=(mt - ot).mean(axis=(0, 1)),
-                diff_variance=np.maximum(little_bags_variance(mt - ot), 0.0),
-            )
-        )
+        names = (schema.names[i], schema.names[j])
+        surfaces.append(SurfaceComparison(i, j, names, *_surface_means(paired, i, j)))
     ranking = sorted(
         ((fc.feature, fc.discrepancy) for fc in features),
         key=lambda t: (-t[1], t[0]),

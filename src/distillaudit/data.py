@@ -23,6 +23,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
+from itertools import islice
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -297,6 +299,34 @@ def _is_missing(cell: str, markers: tuple[str, ...]) -> bool:
     return cell.strip().lower() in markers
 
 
+def _accepted_rows(reader, width: int, score_i: int, outcome_i: int, markers: tuple[str, ...]):
+    """Yield ``(cells, score, outcome)`` for each row that ``load_csv`` keeps
+    and None for each row it rejects: a row of the wrong width, or one whose
+    score cell is missing, does not parse or is not finite. Blank lines yield
+    nothing. A parseable outcome other than 0 or 1 raises."""
+    for r in reader:
+        if not r:
+            continue
+        try:
+            s = math.nan if len(r) != width or _is_missing(r[score_i], markers) else float(r[score_i])
+        except ValueError:
+            s = math.nan
+        if not math.isfinite(s):
+            yield None
+            continue
+        o_cell = r[outcome_i]
+        if _is_missing(o_cell, markers):
+            o = math.nan
+        else:
+            try:
+                o = float(o_cell)
+            except ValueError:
+                raise DataError(f"non-binary outcome value {o_cell!r}") from None
+            if o not in (0.0, 1.0):
+                raise DataError(f"non-binary outcome value {o_cell!r}")
+        yield r, s, o
+
+
 def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset:
     """Read a delimited text file with a header row into an :class:`AuditDataset`.
 
@@ -304,6 +334,15 @@ def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset
     counted in ``meta["rejected_rows"]``. Rows with a blank outcome cell are
     retained and flagged score-only. A parseable but non-binary outcome is an
     error, as is a missing score or outcome column.
+
+    Cells are parsed as the file is read, so memory grows with the final
+    columns rather than with the text: score, outcome, numeric columns and
+    undeclared columns that have parsed so far fill float64 storage, and only
+    categorical columns keep their stripped text. An undeclared column turns
+    categorical at its first cell that does not parse as a float; the text of
+    its earlier rows is then read again from the file, for that column only.
+    A declared numeric column with such a cell is an error, raised once the
+    whole file has been read.
     """
     config = config or LoadConfig()
     try:
@@ -337,92 +376,72 @@ def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset
 
         col_idx = {h: i for i, h in enumerate(header)}
         markers = config.missing_markers
-        score_i = col_idx[config.score_column]
-        outcome_i = col_idx[config.outcome_column]
-        feature_cells = [(name, col_idx[name]) for name in feature_names]
-
-        scores: list[float] = []
-        outcomes: list[float] = []
-        raw_features: dict[str, list[str | None]] = {n: [] for n in feature_names}
+        layout = (len(header), col_idx[config.score_column], col_idx[config.outcome_column], markers)
+        cells_at = [col_idx[name] for name in feature_names]
+        declared = [config.feature_types.get(name) for name in feature_names]
+        # Per feature: its storage, how a present cell is stored and what a missing one stores
+        stores = [[] if kind == CATEGORICAL else array("d") for kind in declared]
+        parsers = [str if kind == CATEGORICAL else float for kind in declared]
+        blanks = [None if kind == CATEGORICAL else math.nan for kind in declared]
+        flipped: dict[int, int] = {}  # undeclared feature -> rows accepted before it turned categorical
+        unparsed: dict[int, str] = {}  # declared numeric feature -> its first cell that does not parse
+        scores, outcomes = array("d"), array("d")
         rejected = 0
-        for r in reader:
-            if not r:
-                continue
-            if len(r) != len(header):
+        for row in _accepted_rows(reader, *layout):
+            if row is None:
                 rejected += 1
                 continue
-            cell = r[score_i]
-            if _is_missing(cell, markers):
-                rejected += 1
-                continue
-            try:
-                s = float(cell)
-            except ValueError:
-                rejected += 1
-                continue
-            if not np.isfinite(s):
-                rejected += 1
-                continue
-            o_cell = r[outcome_i]
-            if _is_missing(o_cell, markers):
-                o = float("nan")
-            else:
-                try:
-                    o = float(o_cell)
-                except ValueError:
-                    raise DataError(f"non-binary outcome value {o_cell!r}") from None
-                if o not in (0.0, 1.0):
-                    raise DataError(f"non-binary outcome value {o_cell!r}")
+            r, s, o = row
             scores.append(s)
             outcomes.append(o)
-            for name, i in feature_cells:
-                c = r[i]
-                raw_features[name].append(None if _is_missing(c, markers) else c.strip())
+            for f, i in enumerate(cells_at):
+                c = r[i].strip()
+                if c.lower() in markers:
+                    stores[f].append(blanks[f])
+                    continue
+                try:
+                    stores[f].append(parsers[f](c))
+                except ValueError:
+                    if declared[f] is None:
+                        flipped[f] = len(stores[f])
+                        stores[f], parsers[f], blanks[f] = [c], str, None
+                    else:
+                        unparsed.setdefault(f, c)
+                        stores[f].append(math.nan)
 
     if not scores:
         raise DataError("no usable rows (every row was rejected or the file had none)")
-
-    columns: dict[str, np.ndarray] = {}
-    kinds: list[str] = []
-    for name in feature_names:
-        cells = raw_features[name]
-        kind = config.feature_types.get(name)
-        if kind is None:
-            kind = NUMERIC
-            for c in cells:
-                if c is None:
-                    continue
-                try:
-                    float(c)
-                except ValueError:
-                    kind = CATEGORICAL
-                    break
-        if kind == NUMERIC:
-            vals = np.full(len(cells), np.nan)
-            for i, c in enumerate(cells):
-                if c is None:
-                    continue
-                try:
-                    vals[i] = float(c)
-                except ValueError:
-                    raise DataError(
-                        f"feature {name!r} declared numeric but value {c!r} does not parse"
-                    ) from None
-            columns[name] = vals
-        else:
-            columns[name] = np.array(cells, dtype=object)
-        kinds.append(kind)
-
-    ds = AuditDataset(
-        feature_names,
-        tuple(kinds),
-        columns,
-        np.array(scores),
-        np.array(outcomes),
-    )
+    if unparsed:
+        f = min(unparsed)
+        name, c = feature_names[f], unparsed[f]
+        raise DataError(f"feature {name!r} declared numeric but value {c!r} does not parse")
+    earlier = _leading_texts(path, config.delimiter, layout, {cells_at[f]: n for f, n in flipped.items()})
+    kinds = tuple(CATEGORICAL if isinstance(store, list) else NUMERIC for store in stores)
+    columns = {
+        name: np.frombuffer(store) if kind == NUMERIC else np.array(earlier.get(i, []) + store, dtype=object)
+        for name, kind, store, i in zip(feature_names, kinds, stores, cells_at)
+    }
+    ds = AuditDataset(feature_names, kinds, columns, np.frombuffer(scores), np.frombuffer(outcomes))
     ds.meta["rejected_rows"] = rejected
     ds.meta["source"] = str(path)
     return ds
+
+
+def _leading_texts(path: str | Path, delimiter: str, layout: tuple, counts: dict[int, int]) -> dict[int, list]:
+    """Stripped text, or None where missing, of the first ``counts[i]`` rows
+    that ``load_csv`` accepts, for each file column ``i``."""
+    texts: dict[int, list] = {i: [] for i in counts}
+    if not any(counts.values()):
+        return texts
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader)
+        kept = (row[0] for row in _accepted_rows(reader, *layout) if row is not None)
+        for n, r in enumerate(islice(kept, max(counts.values()))):
+            for i, count in counts.items():
+                if n < count:
+                    texts[i].append(None if _is_missing(r[i], layout[-1]) else r[i].strip())
+    return texts
 
 
 @dataclass(frozen=True)

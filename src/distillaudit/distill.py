@@ -146,18 +146,14 @@ class BagEnsemble:
         """Shape values of every model for one feature, shaped (K, L, bins)."""
         return np.stack([[m.shapes[feature] for m in fold] for fold in self.models])
 
-    def surface_tensor(self, i: int, j: int) -> np.ndarray:
-        """Grid values of every model for one fitted pair, shaped (K, L, bi, bj)."""
-        out = []
+    def surface_grids(self, i: int, j: int):
+        """Grid of one fitted pair from every model, in (k, l) order."""
         for fold in self.models:
-            row = []
             for m in fold:
-                grids = {(s.i, s.j): s.values for s in m.surfaces}
-                if (i, j) not in grids:
+                grid = next((s.values for s in m.surfaces if (s.i, s.j) == (i, j)), None)
+                if grid is None:
                     raise DataError(f"pair ({i}, {j}) was not fitted")
-                row.append(grids[(i, j)])
-            out.append(row)
-        return np.stack(out)
+                yield grid
 
     def predict_fold(self, k: int, X: BinnedMatrix) -> np.ndarray:
         """Average prediction of outer fold k's inner models."""

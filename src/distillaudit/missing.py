@@ -269,10 +269,16 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(float(np.dot(*unit)), -1.0), 1.0)
 
 
-def _point_estimates(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+def _block(n: int) -> int:
+    """Resamples whose discordant pairs are counted together, for ``n`` rows."""
+    return max(1, min(_BLOCK, _BLOCK_CELLS // n))
+
+
+def _point_estimates(a: np.ndarray, b: np.ndarray, ranked=None) -> tuple[float, float, float]:
     """Pearson, Spearman and Kendall tau-b of the sample, equal to
-    ``scipy.stats.pearsonr``, ``spearmanr`` and ``kendalltau``."""
-    ia, ib, pair, order, discordance = _ranked(a, b, 1)
+    ``scipy.stats.pearsonr``, ``spearmanr`` and ``kendalltau``. ``ranked``
+    is ``_ranked(a, b, block)`` for any block; it is built when not given."""
+    ia, ib, pair, order, discordance = _ranked(a, b, 1) if ranked is None else ranked
     ma, mb, mab = np.bincount(ia), np.bincount(ib), np.bincount(pair)
     spearman = np.corrcoef(average_ranks(ia, ma), average_ranks(ib, mb))[1, 0]
     discordance.counts[: len(a), 0] = 1
@@ -290,7 +296,7 @@ def _weighted_pearson(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return min(max(float(r), -1.0), 1.0)
 
 
-def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int, ranked=None) -> np.ndarray:
     """Pearson, Spearman and Kendall tau-b of each row resample, one row each.
 
     A resample is held as the count ``c`` of times each row was drawn, from
@@ -299,11 +305,12 @@ def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int) -> np.nd
     weighted by ``c``. Kendall takes discordant pairs for a block of
     resamples at once from :class:`_Discordance` and ties from integer
     counts, so it equals ``stats.kendalltau`` on the gathered rows bit for
-    bit. Resamples constant in a margin stay NaN.
+    bit. Resamples constant in a margin stay NaN. ``ranked`` is
+    ``_ranked(a, b, _block(len(a)))``; it is built when not given.
     """
     n = len(a)
-    block = max(1, min(_BLOCK, _BLOCK_CELLS // n))
-    ia, ib, pair, order, discordance = _ranked(a, b, block)
+    block = _block(n)
+    ia, ib, pair, order, discordance = _ranked(a, b, block) if ranked is None else ranked
     rng = np.random.default_rng(seed)
     boots = np.full((resamples, 3), np.nan)
     for start in range(0, resamples, block):
@@ -364,8 +371,9 @@ def correlation_test(
     if resamples < 100:
         raise DataError("resamples must be at least 100")
 
-    pr, sr, kt = _point_estimates(a, b)
-    boots = _bootstrap(a, b, resamples, seed)
+    ranked = _ranked(a, b, _block(n))
+    pr, sr, kt = _point_estimates(a, b, ranked)
+    boots = _bootstrap(a, b, resamples, seed, ranked)
     intervals = []
     for col, est in zip(boots.T, (pr, sr, kt)):
         vals = col[~np.isnan(col)]

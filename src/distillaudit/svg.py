@@ -105,8 +105,16 @@ class _Canvas:
         if self.y_lo < 0.0 < self.y_hi:
             self.line(left, self.py(0.0), right, self.py(0.0), "#bdbdbd", dash="2,3")
 
+    def drain(self) -> str:
+        """The parts drawn since the last drain, one per line; forgets them."""
+        text = "".join(part + "\n" for part in self.parts)
+        self.parts.clear()
+        return text
+
     def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        """The rest of the document: the parts not yet drained, then the close."""
+        self.parts.append("</svg>")
+        return self.drain()
 
 
 def _write(path: str | Path, content: str) -> None:
@@ -192,26 +200,31 @@ def scatter_chart(
 def heatmap_chart(path: str | Path, title: str, grid: np.ndarray, x_name: str, y_name: str) -> None:
     """Diverging heatmap of a pairwise grid: blue negative, red positive.
 
-    The shades are computed with numpy, and each column's ``x``, each row's
-    ``y`` and the cell size are formatted once, not once per cell.
+    The file is written row by row: the canvas's opening parts, then each
+    row's cells as one string, then the frame. The shades of a row are
+    computed with numpy, and each column's ``x``, each row's ``y`` and the
+    cell size are formatted once, not once per cell, so no more than one row
+    of the document is held at a time.
     """
     grid = np.asarray(grid, float)
     if not np.isfinite(grid).all():
         raise ValueError("heatmap grid has non-finite values")
     rows, cols = grid.shape
-    scale = float(np.max(np.abs(grid))) or 1.0
+    scale = float(max(grid.max(), -grid.min())) or 1.0  # max |grid| without an |grid| array
     canvas = _Canvas(0.0, float(cols), 0.0, float(rows))
     cell_w = (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / cols
     cell_h = (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / rows
-    v = grid / scale
-    # 255 * (1 + v) equals 255 * (1 - |v|) for v < 0; rint rounds half to even, as round does
-    shade = np.rint(255 * (1 - np.abs(v))).astype(np.intp)
-    fills = _HEAT_FILLS[shade + 256 * (v < 0)].tolist()
     heads = [f'<rect x="{_fmt(MARGIN_LEFT + c * cell_w)}" y="' for c in range(cols)]
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
-    for r in range(rows):
-        tail = _fmt(HEIGHT - MARGIN_BOTTOM - (r + 1) * cell_h) + size
-        canvas.parts.extend([head + tail + fill + '"/>' for head, fill in zip(heads, fills[r])])
-    canvas.frame(title, x_name, y_name)
-    canvas.text(WIDTH - MARGIN_RIGHT, MARGIN_TOP - 16, f"|max| = {scale:.4f}", anchor="end")
-    _write(path, canvas.render())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(canvas.drain())
+        for r in range(rows):
+            v = grid[r] / scale
+            # 255 * (1 + v) equals 255 * (1 - |v|) for v < 0; rint rounds half to even, as round does
+            shade = np.rint(255 * (1 - np.abs(v))).astype(np.intp)
+            fills = _HEAT_FILLS[shade + 256 * (v < 0)].tolist()
+            tail = _fmt(HEIGHT - MARGIN_BOTTOM - (r + 1) * cell_h) + size
+            fh.write("".join([head + tail + fill + '"/>\n' for head, fill in zip(heads, fills)]))
+        canvas.frame(title, x_name, y_name)
+        canvas.text(WIDTH - MARGIN_RIGHT, MARGIN_TOP - 16, f"|max| = {scale:.4f}", anchor="end")
+        fh.write(canvas.render())

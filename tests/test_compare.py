@@ -6,6 +6,8 @@ construction where the score and the outcome weight one binary feature with
 opposite signs, so the true shape gap is known exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,67 @@ class TestSurfacesAndSerialization:
         assert len(feat["difference"]["significant"]) == len(feat["bins"])
         ranked = [r["feature"] for r in blob["discrepancy_ranking"]]
         assert sorted(ranked) == sorted(data.feature_names)
+
+
+def pair_fit(K, L, max_bins=128, seed=0):
+    """Paired ensembles with one fitted pair over a K x L bag grid, trained briefly."""
+    ds, _ = da.gen_interaction(n_rows=600, seed=seed)
+    schema = da.fit_schema(ds, max_bins=max_bins)
+    config = da.TrainConfig(learning_rate=0.1, max_rounds=3, seed=seed)
+    plan = da.plan_bags(ds.n_rows, K=K, L=L, seed=seed)
+    paired = da.train_paired(ds, plan=plan, config=config, schema=schema)
+    return da.with_interactions(paired, ds, n_pairs=1, config=config)
+
+
+def stacked_surface(ensemble, i, j):
+    """The (K, L, bi, bj) tensor of one pair's grids."""
+
+    def grid(m):
+        return next(s.values for s in m.surfaces if (s.i, s.j) == (i, j))
+
+    return np.stack([[grid(m) for m in fold] for fold in ensemble.models])
+
+
+class TestSurfaceMeans:
+    def test_bit_equal_to_the_stacked_mean(self):
+        paired = pair_fit(3, 4)
+        # cells that are -0.0 in every bag, or in some bags only
+        for fold in paired.mimic.models:
+            for m in fold:
+                m.surfaces[0].values[0, :4] = -0.0
+                m.surfaces[0].values[1, 0] *= -1.0
+        paired.mimic.models[0][0].surfaces[0].values[2, :3] = -0.0
+        sc = da.summarize(paired).surfaces[0]
+        mt = stacked_surface(paired.mimic, sc.i, sc.j)
+        ot = stacked_surface(paired.outcome, sc.i, sc.j)
+        assert np.count_nonzero(np.signbit(mt.mean(axis=(0, 1))) & (mt.mean(axis=(0, 1)) == 0)) == 0
+        for got, want in (
+            (sc.mimic_mean, mt.mean(axis=(0, 1))),
+            (sc.outcome_mean, ot.mean(axis=(0, 1))),
+            (sc.diff_mean, (mt - ot).mean(axis=(0, 1))),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_unfitted_pair_is_a_data_error(self):
+        paired = pair_fit(2, 2)
+        entry = paired.meta["interaction_pairs"][0]
+        paired.meta["interaction_pairs"] = [{**entry, "j": entry["i"]}]
+        with pytest.raises(da.DataError, match="was not fitted"):
+            da.summarize(paired)
+
+    def test_traced_peak_does_not_grow_with_the_bag_grid(self):
+        """Pair grids are summed bag by bag, so summarize's traced peak at
+        5 x 5 bags stays within 2 grids of its peak at 2 x 2 (129 x 129 grids of
+        133 kB; stacking the four K x L tensors adds about 11 MB)."""
+        peaks = {}
+        for K in (2, 5):
+            paired = pair_fit(K, K)
+            tracemalloc.start()
+            try:
+                da.summarize(paired)
+                peaks[K] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        grid_bytes = 129 * 129 * 8
+        assert peaks[5] - peaks[2] < 2 * grid_bytes

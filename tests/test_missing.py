@@ -5,9 +5,11 @@ import pytest
 from scipy import stats
 
 import distillaudit as da
+from distillaudit import missing
 from distillaudit.missing import (
     CorrelationInterval,
     EVIDENCE_MARGIN,
+    _block,
     _bootstrap,
     _point_estimates,
     _ranked,
@@ -224,6 +226,31 @@ class TestPointEstimateOracle:
         assert kendall == stats.kendalltau(a, b).statistic
         assert pearson == pytest.approx(stats.pearsonr(a, b).statistic, rel=0, abs=1e-15)
         assert spearman == pytest.approx(stats.spearmanr(a, b).statistic, rel=0, abs=1e-15)
+
+
+class TestRankOnce:
+    """``correlation_test`` ranks its sample once, for both the point
+    estimates and the bootstrap."""
+
+    @pytest.mark.parametrize("make, seed", [c[1:3] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+    def test_shared_ranking_changes_nothing(self, make, seed):
+        a, b = make(seed)
+        ranked = _ranked(a, b, _block(len(a)))
+        assert _point_estimates(a, b, ranked) == _point_estimates(a, b)
+        shared = _bootstrap(a, b, 200, seed, ranked)
+        np.testing.assert_array_equal(shared, _bootstrap(a, b, 200, seed))
+
+    def test_one_ranking_per_test(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, block):
+            calls.append(block)
+            return _ranked(a, b, block)
+
+        monkeypatch.setattr(missing, "_ranked", counted)
+        a, b = continuous(1)
+        da.correlation_test(a, b, resamples=200, seed=1)
+        assert calls == [_block(len(a))]
 
 
 def brute_discordant(a, b, c):

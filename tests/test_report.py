@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -289,6 +290,7 @@ HEATMAP_GRIDS = {
     "signed zeros": np.array([[-0.0, 0.0, 1.0], [0.5, -0.0, -0.25]]),
     "half shades": _half_shades().reshape(1, -1),
     "random 129 x 129": np.random.default_rng(9).normal(size=(129, 129)),
+    "random 257 x 40": np.random.default_rng(10).normal(size=(257, 40)),
 }
 
 
@@ -304,6 +306,20 @@ class TestHeatmapOracle:
         v = HEATMAP_GRIDS["half shades"]
         shade = 255 * (1 - np.abs(v))
         assert np.count_nonzero(shade % 1 == 0.5) >= 10
+
+    def test_traced_peak_well_below_the_document(self, tmp_path):
+        """Rows are written as they are formatted: a 257 x 257 heatmap's traced
+        peak stays under a twentieth of its file, where a document of 66,049 rect
+        strings held at once took about four times the file."""
+        grid = np.random.default_rng(3).normal(size=(257, 257))
+        path = tmp_path / "big.svg"
+        tracemalloc.start()
+        try:
+            heatmap_chart(path, "pair a x b (diff)", grid, "b", "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 20
 
     def test_non_finite_grid_rejected(self, tmp_path):
         grid = np.array([[0.5, np.nan]])
