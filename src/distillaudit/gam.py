@@ -21,7 +21,11 @@ as signed deviations from the average prediction.
 
 Trees, leaf values, and tie-breaks are deterministic: candidate cuts are
 scanned in ascending bin order and only a strictly larger gain replaces
-the incumbent, so the lowest boundary wins ties.
+the incumbent, so the lowest boundary wins ties. All cuts of a segment are
+scored in one vectorised pass over the prefix sums of its gradient and
+Hessian sums; a pair's rectangles keep their row and column sums, and a
+split's children reuse their parent's along the cut axis, so each visit
+sums every grid region once.
 """
 
 from __future__ import annotations
@@ -172,10 +176,14 @@ def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
     """Best single cut of the segment starting at bin ``lo``, given its prefix
     sums of gradients ``cg`` and Hessians ``cd``: returns (gain, cut) or None.
 
-    Hessians are non-negative, so ``cd`` never decreases and the cuts that
-    leave more than ``_MIN_HESSIAN`` on both sides form one contiguous run.
+    Gain is the squared-error reduction S_l^2/D_l + S_r^2/D_r - S^2/D. Cuts
+    leaving at most ``_MIN_HESSIAN`` on a side are invalid; ties resolve to
+    the lowest cut. Hessians are non-negative, so ``cd`` never decreases, the
+    right-hand sums never increase, and the valid cuts form one contiguous
+    run whose ends two binary searches find.
     """
-    if len(cg) < 2:
+    n = len(cg) - 1
+    if n < 1:
         return None
     total_g = cg[-1]
     total_d = cd[-1]
@@ -183,24 +191,45 @@ def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
         return None
     dl = cd[:-1]
     dr = total_d - dl
-    start = int(np.searchsorted(dl, _MIN_HESSIAN, side="right"))
-    stop = int(np.count_nonzero(dr > _MIN_HESSIAN))
+    start = int(dl.searchsorted(_MIN_HESSIAN, side="right"))
+    stop = n - int(dr[::-1].searchsorted(_MIN_HESSIAN, side="right"))
     if start >= stop:
         return None
     gl = cg[start:stop]
-    gains = gl**2 / dl[start:stop] + (total_g - gl) ** 2 / dr[start:stop] - total_g**2 / total_d
-    t = int(np.argmax(gains))
+    gains = gl * gl
+    gains /= dl[start:stop]
+    gr = total_g - gl
+    gr *= gr
+    gr /= dr[start:stop]
+    gains += gr
+    gains -= total_g**2 / total_d
+    t = int(gains.argmax())
     return float(gains[t]), lo + start + t + 1
 
 
-def _split_segment(sum_g: np.ndarray, denom: np.ndarray, lo: int, hi: int):
-    """Best single cut of bins [lo, hi): returns (gain, cut) or None.
+def _segment(g: np.ndarray, d: np.ndarray, lo: int):
+    """A segment of bins from ``lo``: its gradient and Hessian sums per bin,
+    their prefix sums and its best cut."""
+    cg, cd = g.cumsum(), d.cumsum()
+    return g, d, cg, cd, _best_cut(cg, cd, lo)
 
-    Gain is the squared-error reduction S_l^2/D_l + S_r^2/D_r - S^2/D. Cuts
-    leaving an empty side are invalid; ties resolve to the lowest cut.
-    ``denom`` must be non-negative.
-    """
-    return _best_cut(np.cumsum(sum_g[lo:hi]), np.cumsum(denom[lo:hi]), lo)
+
+def _split(segment, lo: int, cut: int):
+    """The two children of a segment from ``lo`` cut at ``cut``. Prefix sums
+    are sequential, so the left child's are a prefix of its parent's."""
+    g, d, cg, cd, _ = segment
+    k = cut - lo
+    return (g[:k], d[:k], cg[:k], cd[:k], _best_cut(cg[:k], cd[:k], lo)), _segment(g[k:], d[k:], cut)
+
+
+def _best_of(segments):
+    """Index and best cut of the segment whose best cut gains most, or (0,
+    None); the first such segment wins ties."""
+    best_at, best = 0, None
+    for si, (*_, cand) in enumerate(segments):
+        if cand is not None and (best is None or cand[0] > best[0]):
+            best_at, best = si, cand
+    return best_at, best
 
 
 def _best_tree(
@@ -210,44 +239,29 @@ def _best_tree(
 
     Returns segment boundaries [0, c_1, ..., B]; a result of [0, B] means no
     worthwhile split exists. Every accepted split must gain more than
-    ``min_gain``. Each segment's best cut is found once; a left child takes
-    its parent's prefix sums, which ``np.cumsum`` makes bit-equal to its own.
+    ``min_gain``. Each segment's best cut is found once.
     """
-
-    def segment(lo: int, hi: int):
-        cg, cd = np.cumsum(sum_g[lo:hi]), np.cumsum(denom[lo:hi])
-        return cg, cd, _best_cut(cg, cd, lo)
-
     bounds = [0, len(sum_g)]
-    segments = [segment(0, len(sum_g))]
+    segments = [_segment(sum_g, denom, 0)]
     for _ in range(max_leaves - 1):
-        best = None
-        best_at = 0
-        for si, (_, _, cand) in enumerate(segments):
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = cand
-                best_at = si
+        best_at, best = _best_of(segments)
         if best is None or best[0] <= min_gain:
             break
         cut = best[1]
-        lo, hi = bounds[best_at], bounds[best_at + 1]
         bounds.insert(best_at + 1, cut)
         if len(bounds) > max_leaves:
             break
-        cg, cd, _ = segments[best_at]
-        left = (cg[: cut - lo], cd[: cut - lo], _best_cut(cg[: cut - lo], cd[: cut - lo], lo))
-        segments[best_at : best_at + 1] = [left, segment(cut, hi)]
+        segments[best_at : best_at + 1] = _split(segments[best_at], bounds[best_at], cut)
     return bounds
 
 
 def _leaf_values(sum_g: np.ndarray, denom: np.ndarray, bounds: list[int], clip: float | None) -> np.ndarray:
     vals = np.zeros(len(sum_g))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        d = denom[lo:hi].sum()
+        d = float(denom[lo:hi].sum())
         if d > _MIN_HESSIAN:
-            vals[lo:hi] = sum_g[lo:hi].sum() / d
-    if clip is not None:
-        np.clip(vals, -clip, clip, out=vals)
+            v = float(sum_g[lo:hi].sum()) / d
+            vals[lo:hi] = v if clip is None else min(max(v, -clip), clip)
     return vals
 
 
@@ -323,34 +337,36 @@ def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate):
     rects = _best_rect_tree(SG, DN, leaves)
     if len(rects) == 1:
         return None
+    sums = [(float(SG[r0:r1, c0:c1].sum()), float(DN[r0:r1, c0:c1].sum())) for r0, r1, c0, c1 in rects]
     # A pure interaction is flat along each axis, so its first cut gains
     # nothing; entry is judged on the whole tree instead, one chi-square
     # budget per accepted split.
-    if gate is not None and _rect_tree_gain(SG, DN, rects) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
+    if gate is not None and _rect_tree_gain(SG, DN, sums) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
         return None
     V = np.zeros(shape)
-    for r0, r1, c0, c1 in rects:
-        d = DN[r0:r1, c0:c1].sum()
+    for (r0, r1, c0, c1), (g, d) in zip(rects, sums):
         if d > _MIN_HESSIAN:
-            v = SG[r0:r1, c0:c1].sum() / d
-            V[r0:r1, c0:c1] = v if clip is None else np.clip(v, -clip, clip)
+            v = g / d
+            V[r0:r1, c0:c1] = v if clip is None else min(max(v, -clip), clip)
     return V.ravel()
 
 
-def _boost(terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, logistic: bool):
+def _boost(
+    terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, logistic: bool, train_trace=None
+):
     """Cyclic boosting of ``terms`` from the decisions ``F_train`` of the
     training rows and ``F_valid`` of the validation rows (None without them).
 
     Returns the values of each term (those of the best round when validation
     improved), the rounds run, the best round and its validation loss (0 and
-    inf otherwise), and the per-round training and validation losses.
+    inf otherwise), and the per-round validation losses. Each round's
+    training loss is appended to ``train_trace`` unless it is None.
     """
     values = [np.zeros(len(t.counts)) for t in terms]
     active = [False] * len(terms)
     clip = _NEWTON_CLIP if logistic else None
     if not logistic:
         residual = yt - F_train
-    train_trace: list[float] = []
     valid_trace: list[float] = []
     best_loss = np.inf
     best_values = None
@@ -398,10 +414,8 @@ def _boost(terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, lo
             if F_valid is not None:
                 F_valid += vals.take(term.valid)
 
-        if logistic:
-            train_trace.append(mean_nll(yt, F_train))
-        else:
-            train_trace.append(float(np.mean(residual**2)))
+        if train_trace is not None:
+            train_trace.append(mean_nll(yt, F_train) if logistic else float(np.mean(residual**2)))
         if F_valid is None:
             continue
         loss = mean_nll(yv, F_valid) if logistic else float(np.mean((yv - F_valid) ** 2))
@@ -418,7 +432,7 @@ def _boost(terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, lo
 
     if best_values is not None:
         values = best_values
-    return values, rounds_run, best_round, best_loss, train_trace, valid_trace
+    return values, rounds_run, best_round, best_loss, valid_trace
 
 
 def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str) -> AdditiveModel:
@@ -452,8 +466,9 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
     if valid_rows is not None:
         yv = y[valid_rows]
         F_valid = np.full(len(yv), intercept)
-    shapes, rounds_run, best_round, best_loss, train_trace, valid_trace = _boost(
-        terms, yt, np.full(len(yt), intercept), yv, F_valid, config, logistic
+    train_trace: list[float] = []
+    shapes, rounds_run, best_round, best_loss, valid_trace = _boost(
+        terms, yt, np.full(len(yt), intercept), yv, F_valid, config, logistic, train_trace
     )
 
     if best_round:
@@ -543,57 +558,55 @@ def rank_interaction_pairs(
     return sorted(scores, key=lambda ps: (-ps.gain, ps.i, ps.j))
 
 
-def _split_rect(SG: np.ndarray, DN: np.ndarray, rect, axis: int):
-    r0, r1, c0, c1 = rect
-    if axis == 0:
-        g = SG[r0:r1, c0:c1].sum(axis=1)
-        d = DN[r0:r1, c0:c1].sum(axis=1)
-        off = r0
-    else:
-        g = SG[r0:r1, c0:c1].sum(axis=0)
-        d = DN[r0:r1, c0:c1].sum(axis=0)
-        off = c0
-    cand = _split_segment(g, d, 0, len(g))
-    if cand is None:
-        return None
-    return cand[0], off + cand[1]
-
-
 def _best_rect_tree(
     SG: np.ndarray, DN: np.ndarray, max_leaves: int, min_gain: float = _MIN_GAIN
 ) -> list[tuple[int, int, int, int]]:
-    """Greedy axis-aligned rectangle partition of the joint bin grid."""
+    """Greedy axis-aligned rectangle partition of the joint bin grid.
+
+    Each rectangle keeps, for both axes, a segment (see :func:`_segment`) of
+    its marginal sums: row sums for cuts between rows, column sums for cuts
+    between columns. A split's children slice their parent's marginal along
+    the split axis, whose sums cover the same cells and so have the same
+    bits; only their marginals across it are summed again.
+    """
     rects = [(0, SG.shape[0], 0, SG.shape[1])]
+    # Rectangle ri's row segment is segments[2 * ri], its column segment the next.
+    segments = [_segment(SG.sum(axis=1), DN.sum(axis=1), 0), _segment(SG.sum(axis=0), DN.sum(axis=0), 0)]
     for _ in range(max_leaves - 1):
-        best = None
-        for ri, rect in enumerate(rects):
-            for axis in (0, 1):
-                cand = _split_rect(SG, DN, rect, axis)
-                if cand is not None and (best is None or cand[0] > best[0]):
-                    best = (cand[0], ri, axis, cand[1])
+        at, best = _best_of(segments)
         if best is None or best[0] <= min_gain:
             break
-        _, ri, axis, cut = best
+        ri, axis = divmod(at, 2)
+        cut = best[1]
         r0, r1, c0, c1 = rects[ri]
         if axis == 0:
             children = [(r0, cut, c0, c1), (cut, r1, c0, c1)]
         else:
             children = [(r0, r1, c0, cut), (r0, r1, cut, c1)]
         rects[ri : ri + 1] = children
+        if len(rects) == max_leaves:
+            break
+        halves = _split(segments[at], (r0, c0)[axis], cut)
+        child_segments = []
+        for (a0, a1, b0, b1), along in zip(children, halves):
+            g, d = SG[a0:a1, b0:b1].sum(axis=axis), DN[a0:a1, b0:b1].sum(axis=axis)
+            across = _segment(g, d, (b0, a0)[axis])
+            child_segments += (along, across) if axis == 0 else (across, along)
+        segments[2 * ri : 2 * ri + 2] = child_segments
     return rects
 
 
-def _rect_tree_gain(SG: np.ndarray, DN: np.ndarray, rects) -> float:
-    """Squared-error reduction of a rectangle partition over the root fit."""
+def _rect_tree_gain(SG: np.ndarray, DN: np.ndarray, sums) -> float:
+    """Squared-error reduction of a rectangle partition over the root fit,
+    given the (gradient, Hessian) sums of its rectangles."""
     total_g = float(SG.sum())
     total_d = float(DN.sum())
     if total_d <= _MIN_HESSIAN:
         return 0.0
     gain = -(total_g**2) / total_d
-    for r0, r1, c0, c1 in rects:
-        d = float(DN[r0:r1, c0:c1].sum())
+    for g, d in sums:
         if d > _MIN_HESSIAN:
-            gain += float(SG[r0:r1, c0:c1].sum()) ** 2 / d
+            gain += g**2 / d
     return gain
 
 
@@ -652,7 +665,7 @@ def fit_interactions(
     if valid_rows is not None:
         yv = y[valid_rows]
         F_valid = decision[valid_rows]
-    grids, rounds_run, best_round, best_loss, _, _ = _boost(
+    grids, rounds_run, best_round, best_loss, _ = _boost(
         terms, y[train_rows], decision[train_rows], yv, F_valid, config, logistic
     )
 

@@ -19,10 +19,12 @@ from distillaudit.gam import (
     _NEWTON_CLIP,
     IDENTITY,
     LOGISTIC,
+    _best_cut,
+    _best_rect_tree,
     _best_tree,
     _center_shapes,
+    _rect_update,
     _split_rows,
-    _split_segment,
 )
 from distillaudit.stats import mean_nll, sigmoid
 
@@ -181,12 +183,17 @@ class TestClassification:
             da.train_classifier(X, np.linspace(0, 1, 50))
 
 
+def best_cut(sum_g, denom, lo, hi):
+    """Best single cut of bins [lo, hi) through ``_best_cut``."""
+    return _best_cut(np.cumsum(sum_g[lo:hi]), np.cumsum(denom[lo:hi]), lo)
+
+
 class TestTrees:
     def test_split_gain_matches_sum_of_squares_identity(self):
         rng = np.random.default_rng(9)
         sum_g = rng.normal(size=6)
         denom = rng.uniform(1, 5, size=6)
-        gain, cut = _split_segment(sum_g, denom, 0, 6)
+        gain, cut = best_cut(sum_g, denom, 0, 6)
         gl, dl = sum_g[:cut].sum(), denom[:cut].sum()
         gr, dr = sum_g[cut:].sum(), denom[cut:].sum()
         expected = gl**2 / dl + gr**2 / dr - sum_g.sum() ** 2 / denom.sum()
@@ -195,7 +202,7 @@ class TestTrees:
     def test_tied_gains_take_the_lowest_cut(self):
         sum_g = np.array([2.0, -2.0, 2.0, -2.0])
         denom = np.ones(4)
-        gain, cut = _split_segment(sum_g, denom, 0, 4)
+        gain, cut = best_cut(sum_g, denom, 0, 4)
         assert cut == 1
         bounds = _best_tree(sum_g, denom, max_leaves=2)
         assert bounds == [0, 1, 4]
@@ -203,7 +210,7 @@ class TestTrees:
     def test_empty_bins_cannot_become_leaves_alone(self):
         sum_g = np.array([1.0, 0.0, -1.0])
         denom = np.array([5.0, 0.0, 5.0])
-        gain, cut = _split_segment(sum_g, denom, 0, 3)
+        gain, cut = best_cut(sum_g, denom, 0, 3)
         assert cut in (1, 2)
 
     def test_leaves_bound_respected(self):
@@ -601,7 +608,7 @@ class TestVisitLoopOracle:
                 sum_g[a:b] = 0.0 if rng.random() < 0.5 else sum_g[a:b]
             lo = int(rng.integers(0, n))
             hi = int(rng.integers(lo, n + 1))
-            assert _split_segment(sum_g, denom, lo, hi) == reference_split_segment(sum_g, denom, lo, hi)
+            assert best_cut(sum_g, denom, lo, hi) == reference_split_segment(sum_g, denom, lo, hi)
             leaves = int(rng.integers(2, 6))
             min_gain = _MIN_GAIN if trial % 3 else float(rng.exponential())
             assert _best_tree(sum_g, denom, leaves, min_gain) == reference_best_tree(
@@ -809,3 +816,83 @@ class TestInteractionOracle:
             assert len(model.surfaces) == 2
         if validated:
             assert model.metadata["interaction_rounds_run"] < 300
+
+
+def reference_rect_update(SG, DN, leaves, clip, gate):
+    """A pair visit's leaf grid from the reference rectangle search, or None."""
+    rects = reference_best_rect_tree(SG, DN, leaves)
+    if len(rects) == 1:
+        return None
+    if gate is not None and reference_rect_tree_gain(SG, DN, rects) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
+        return None
+    V = np.zeros(SG.shape)
+    for r0, r1, c0, c1 in rects:
+        d = DN[r0:r1, c0:c1].sum()
+        if d > _MIN_HESSIAN:
+            v = SG[r0:r1, c0:c1].sum() / d
+            if clip is not None:
+                v = float(np.clip(v, -clip, clip))
+            V[r0:r1, c0:c1] = v
+    return V
+
+
+def random_pair_histograms(rng, trial):
+    """Sparse (gradient, Hessian) sums on a random grid: thin and wide grids,
+    empty rows and columns, all-zero Hessians and duplicated columns."""
+    shape_kind = trial % 5
+    if shape_kind == 0:
+        shape = (1, int(rng.integers(1, 40)))
+    elif shape_kind == 1:
+        shape = (int(rng.integers(1, 40)), 1)
+    else:
+        shape = (int(rng.integers(2, 30)), int(rng.integers(2, 30)))
+    counts = rng.poisson(rng.choice([0.3, 1.0, 4.0]), size=shape).astype(float)
+    kind = (trial // 5) % 4
+    if kind == 0:  # squared error: integer counts, float gradient sums
+        DN = counts
+        SG = rng.normal(size=shape) * counts
+    elif kind == 1:  # Newton: small positive Hessians
+        DN = counts * rng.uniform(0, 0.25, size=shape)
+        SG = rng.normal(size=shape) * DN
+    elif kind == 2:  # ties: small integers
+        DN = counts
+        SG = rng.integers(-2, 3, size=shape) * (counts > 0)
+    else:  # all-zero Hessians
+        DN = np.zeros(shape)
+        SG = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+    for axis in (0, 1):  # empty rows and columns
+        for _ in range(int(rng.integers(0, 3))):
+            k = int(rng.integers(0, shape[axis]))
+            SG.swapaxes(0, axis)[k] = 0.0
+            DN.swapaxes(0, axis)[k] = 0.0
+    if shape[1] > 1 and rng.random() < 0.3:  # duplicated columns, so gains tie
+        j = int(rng.integers(0, shape[1] - 1))
+        SG[:, j + 1] = SG[:, j]
+        DN[:, j + 1] = DN[:, j]
+    return np.ascontiguousarray(SG, dtype=float), np.ascontiguousarray(DN, dtype=float)
+
+
+class TestRectTreeOracle:
+    """The rectangle search and a pair visit equal the reference helpers bit
+    for bit on seeded random grids, over tree sizes, the entry gate and the
+    Newton clip."""
+
+    def test_rect_trees_and_updates_match_reference(self):
+        rng = np.random.default_rng(15)
+        for trial in range(3000):
+            SG, DN = random_pair_histograms(rng, trial)
+            leaves = int(rng.integers(2, 7))
+            min_gain = _MIN_GAIN if trial % 3 else float(rng.exponential())
+            rects = _best_rect_tree(SG, DN, leaves, min_gain)
+            assert rects == reference_best_rect_tree(SG, DN, leaves, min_gain), trial
+            want_rects = reference_best_rect_tree(SG, DN, leaves)
+            gate = None
+            if trial % 2 and len(want_rects) > 1:  # a bar near the tree's gain per split
+                scale = reference_rect_tree_gain(SG, DN, want_rects) / (len(want_rects) - 1)
+                gate = max(scale, 0.0) * float(rng.choice([0.5, 1.0, 2.0]))
+            clip = None if trial % 4 < 2 else float(rng.choice([0.05, _NEWTON_CLIP]))
+            got = _rect_update(leaves, SG.shape, SG.ravel(), DN.ravel(), clip, gate)
+            want = reference_rect_update(SG, DN, leaves, clip, gate)
+            assert (got is None) == (want is None), trial
+            if want is not None:
+                assert got.tobytes() == want.ravel().tobytes(), trial
