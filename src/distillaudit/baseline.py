@@ -186,13 +186,17 @@ class LinearBags:
     design: np.ndarray
     columns: list[str]
 
-    def save_models(self, directory: str | Path) -> None:
+    def save_models(self, directory: str | Path) -> list[str]:
+        """Write every model as a JSON file; returns their names."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        names = []
         for name, grid in (("linear_mimic", self.mimics), ("linear_outcome", self.outcomes)):
             for k, fold in enumerate(grid):
                 for l, model in enumerate(fold):
-                    dump_json(directory / f"{name}_k{k}_l{l}.json", model.to_json_dict())
+                    names.append(f"{name}_k{k}_l{l}.json")
+                    dump_json(directory / names[-1], model.to_json_dict())
+        return names
 
 
 def train_linear_bags(

@@ -3,7 +3,11 @@
 Each subcommand maps onto library calls; failures surface as stage-tagged
 messages on stderr with stable exit codes (2 config, 3 data, 4 training,
 5 degenerate statistics). The audit writes artifacts as stages complete, so
-a failed run keeps everything produced before the failure.
+a failed run keeps everything produced before the failure. After training,
+the baseline, the missing-feature test and the model files run as tasks on
+the ``--jobs`` workers, concurrently with the rest; their errors are raised
+in stage order (baseline, missing-test, report), so the tag and exit code
+are those of a serial run.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 try:
     import resource
@@ -22,8 +27,8 @@ except ImportError:  # not on Windows
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import decide_calibration, diagnose, fit_calibration
-from .data import LoadConfig, dump_json, fit_schema, load_csv, load_json
-from .distill import fidelity, plan_bags, train_paired, with_interactions
+from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, load_json
+from .distill import PairedEnsembles, TaskPool, fidelity, plan_bags, train_paired, with_interactions
 from .errors import (
     AuditError,
     ConfigError,
@@ -59,23 +64,43 @@ def _max_rss_mib() -> float | None:
 
 class _Stage:
     """The pipeline stage an error belongs to, and the time and peak memory
-    of every stage so far."""
+    of every stage so far. Entering a stage again adds to its seconds; its
+    peak is the largest at the end of its visits, of the process that did
+    the work: the main process, or the worker of a task it waited for."""
 
     def __init__(self) -> None:
         self.name = "startup"
         self.started = time.perf_counter()
         self.finished: list[dict] = []
+        self.task_peak = None
 
     def at(self, name: str) -> None:
         self.close()
         self.name = name
 
     def close(self) -> list[dict]:
-        """End the current stage; returns every ended stage, oldest first."""
+        """End the current stage; returns every stage ended, by first entry."""
         now = time.perf_counter()
-        self.finished.append({"name": self.name, "seconds": now - self.started, "max_rss_mib": _max_rss_mib()})
+        peak = _max_rss_mib() if self.task_peak is None else self.task_peak
+        entry = next((e for e in self.finished if e["name"] == self.name), None)
+        if entry is None:
+            self.finished.append({"name": self.name, "seconds": now - self.started, "max_rss_mib": peak})
+        else:
+            entry["seconds"] += now - self.started
+            if peak is not None:
+                entry["max_rss_mib"] = max(entry["max_rss_mib"], peak)
         self.started = now
+        self.task_peak = None
         return self.finished
+
+    def wait(self, name: str, future):
+        """The result of a :func:`_measured` task, waited for in its stage
+        ``name``, which tags its error; then back to the current stage."""
+        working = self.name
+        self.at(name)
+        result, self.task_peak = future.result()
+        self.at(working)
+        return result
 
 
 def _read_config_file(path: str | None) -> tuple[dict, dict]:
@@ -182,28 +207,30 @@ def cmd_audit(args, stage: _Stage) -> int:
         final = with_interactions(paired, data, train_cfg.n_pairs, train_cfg, jobs=args.jobs)
         fidelities.append(fidelity(final, data, name="additive_interactions"))
 
+    # The baseline, the missing-feature test and the model files need only
+    # the trained ensembles, so they run on the workers while this process
+    # compares the ensembles and writes the curves and plots. With --jobs 1
+    # each task runs when submitted, in the serial order.
     stage.at("baseline")
-    bags = train_linear_bags(data, plan, cmap, schema)
-    fidelities.append(linear_fold_metrics(data, plan, bags, cmap))
+    with TaskPool(_TailInputs(data, final, out_dir, args.seed), args.jobs) as pool:
+        baseline = pool.submit(_measured, _baseline_task)
 
-    stage.at("compare")
-    summary = summarize(final)
+        stage.at("compare")
+        summary = summarize(final)
 
-    stage.at("missing-test")
-    pairs = error_pairs(final, data)
-    missing_json = None
-    try:
-        result = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=args.seed)
-        missing_json = result.to_json_dict()
-    except DegenerateStatisticsError as exc:
-        missing_json = {"skipped": str(exc)}
-    missing_json["n_excluded_never_held_out"] = pairs.n_excluded_never_held_out
-    missing_json["n_excluded_score_only"] = pairs.n_excluded_score_only
-    pairs.to_csv(out_dir / "error_pairs.csv")
+        stage.at("missing-test")
+        missing = pool.submit(_measured, _missing_test_task)
 
-    stage.at("report")
-    artifacts = write_comparison_artifacts(out_dir, summary)
-    artifacts["models"] = [f"models/{n}" for n in save_all_models(out_dir, final, bags)]
+        stage.at("report")
+        models = pool.submit(_measured, _models_task)
+        artifacts = write_comparison_artifacts(out_dir, summary)
+
+        linear_fidelity, linear_models = stage.wait("baseline", baseline)
+        fidelities.append(linear_fidelity)
+        missing_json = stage.wait("missing-test", missing)
+        gam_models = stage.wait("report", models)
+
+    artifacts["models"] = [f"models/{n}" for n in sorted(gam_models + linear_models)]
     artifacts["calibration"] = ["calibration.json", "calibration_diagnostics.csv"]
     artifacts["error_pairs"] = ["error_pairs.csv"]
     config_echo = {
@@ -233,6 +260,46 @@ def cmd_audit(args, stage: _Stage) -> int:
         print(f"largest discrepancy: {top[0]} ({top[1]:.4f})")
     print(f"report: {path}")
     return 0
+
+
+class _TailInputs(NamedTuple):
+    """What the post-training tasks of an audit share."""
+
+    data: AuditDataset
+    final: PairedEnsembles
+    out_dir: Path
+    seed: int
+
+
+def _measured(tail: _TailInputs, task):
+    """``task``'s result and the peak resident set of the process that ran it."""
+    return task(tail), _max_rss_mib()
+
+
+def _baseline_task(tail: _TailInputs):
+    """Linear bags over the audit's plan: their fold metrics and model file names."""
+    final = tail.final
+    bags = train_linear_bags(tail.data, final.plan, final.calibration, final.schema)
+    metrics = linear_fold_metrics(tail.data, final.plan, bags, final.calibration)
+    return metrics, bags.save_models(tail.out_dir / "models")
+
+
+def _missing_test_task(tail: _TailInputs) -> dict:
+    """The report's missing-feature section: the test of the held-out error
+    pairs, or why it was skipped. The pairs go to error_pairs.csv."""
+    pairs = error_pairs(tail.final, tail.data)
+    try:
+        missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=tail.seed).to_json_dict()
+    except DegenerateStatisticsError as exc:
+        missing_json = {"skipped": str(exc)}
+    missing_json["n_excluded_never_held_out"] = pairs.n_excluded_never_held_out
+    missing_json["n_excluded_score_only"] = pairs.n_excluded_score_only
+    pairs.to_csv(tail.out_dir / "error_pairs.csv")
+    return missing_json
+
+
+def _models_task(tail: _TailInputs) -> list[str]:
+    return save_all_models(tail.out_dir, tail.final)
 
 
 def cmd_test_missing(args, stage: _Stage) -> int:

@@ -75,6 +75,26 @@ def _array_texts(a: np.ndarray) -> list[str]:
     return list(map(int.__repr__, a.ravel().tolist()))
 
 
+class _Formatted(list):
+    """A flat list of scalars that carries its items' JSON texts."""
+
+    def __init__(self, items: list, texts: list[str]) -> None:
+        super().__init__(items)
+        self.texts = texts
+
+
+def preformat(obj):
+    """``obj`` with each flat list of scalars formatted once, for
+    :func:`dump_json` to write into many documents; to any other reader
+    the lists are unchanged."""
+    if isinstance(obj, dict):
+        return {k: preformat(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        texts = list(map(_scalar_text, obj))
+        return _Formatted(obj, texts) if None not in texts else [preformat(v) for v in obj]
+    return obj
+
+
 def _write_nested(write, texts: list[str], shape: tuple[int, ...], nl: str) -> None:
     """Write the flat ``texts`` as nested arrays of ``shape``, indented from ``nl``."""
     if not shape[0]:
@@ -115,7 +135,7 @@ def _write_json(write, obj, nl: str) -> None:
         else:
             _write_json(write, obj.tolist(), nl)
     elif isinstance(obj, (list, tuple)):
-        texts = list(map(_scalar_text, obj))
+        texts = obj.texts if isinstance(obj, _Formatted) else list(map(_scalar_text, obj))
         if None not in texts:
             _write_nested(write, texts, (len(texts),), nl)
             return
@@ -580,6 +600,9 @@ class BinnedMatrix:
         return self.codes[:, feature]
 
     def take(self, rows: np.ndarray) -> "BinnedMatrix":
+        """The given rows, stored column by column when this matrix is."""
+        if self.codes.flags.f_contiguous:
+            return BinnedMatrix(self.codes.T.take(rows, axis=1).T, self.schema)
         return BinnedMatrix(self.codes[np.asarray(rows)], self.schema)
 
     def bin_mass(self, feature: int, rows: np.ndarray | None = None) -> np.ndarray:

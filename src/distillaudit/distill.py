@@ -16,25 +16,26 @@ Rows without an outcome label still train the mimic models; outcome models
 see only labeled rows.
 
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
-models through one dispatcher. A task names only its family and bag (and,
-for pair fits, carries the bag's main model). The binned matrix, targets,
-labeled mask, plan and config reach each ``--jobs`` worker once, through the
-pool initializer: inherited under ``fork``, pickled once per worker under
-``spawn``. Each fit gathers its own bag's rows, so the memory of the calling
-process does not grow with K x L. With ``jobs=1`` the same function runs
-in-process. Outcome fits, the slower family, are submitted first.
+models through :class:`TaskPool`, which the CLI's post-training stages use
+too. A task names only its family and bag (and, for pair fits, carries the
+bag's main model). The binned matrix, targets, labeled mask, plan and config
+reach each ``--jobs`` worker once, through the pool initializer: inherited
+under ``fork``, pickled once per worker under ``spawn``. Each fit gathers
+its own bag's rows once, so the memory of the calling process does not grow
+with K x L. With ``jobs=1`` the same function runs in-process. Outcome fits,
+the slower family, are submitted first.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .calibrate import CalibrationMap
-from .data import AuditDataset, BinnedMatrix, FeatureSchema, bin_dataset, dump_json, fit_schema
+from .data import AuditDataset, BinnedMatrix, FeatureSchema, bin_dataset, dump_json, fit_schema, preformat
 from .errors import ConfigError, DataError, DegenerateStatisticsError, TrainingError
 from .gam import (
     IDENTITY,
@@ -173,16 +174,22 @@ class PairedEnsembles:
     bin_mass: list[np.ndarray]
     meta: dict = field(default_factory=dict)
 
-    def save_models(self, directory: str | Path) -> None:
-        """Write every model, the bag plan, and the schema as JSON files."""
+    def save_models(self, directory: str | Path) -> list[str]:
+        """Write every model, the bag plan, and the schema as JSON files;
+        returns their names. The schema, which every model file embeds, is
+        formatted once."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        schema = preformat(self.schema.to_json_dict())
         dump_json(directory / "plan.json", self.plan.to_json_dict())
-        dump_json(directory / "schema.json", self.schema.to_json_dict())
+        dump_json(directory / "schema.json", schema)
+        names = ["plan.json", "schema.json"]
         for name, ens in (("mimic", self.mimic), ("outcome", self.outcome)):
             for k, fold in enumerate(ens.models):
                 for l, model in enumerate(fold):
-                    dump_json(directory / f"{name}_k{k}_l{l}.json", model.to_json_dict())
+                    names.append(f"{name}_k{k}_l{l}.json")
+                    dump_json(directory / names[-1], {**model.to_json_dict(), "schema": schema})
+        return names
 
 
 def _bag_rows(
@@ -229,16 +236,44 @@ def _fit_bag(data: _BagData, link: str, k: int, l: int, model: AdditiveModel | N
     return train_classifier(X, y, data.config, validation=local_valid)
 
 
-_worker_data: _BagData | None = None  # set in pool workers only, by _init_worker
+_worker_shared = None  # set in pool workers only, by _init_worker
 
 
-def _init_worker(data: _BagData) -> None:
-    global _worker_data
-    _worker_data = data
+def _init_worker(shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
 
 
-def _worker_fit(link: str, k: int, l: int, model: AdditiveModel | None) -> AdditiveModel:
-    return _fit_bag(_worker_data, link, k, l, model)
+def _worker_call(fn, *args):
+    return fn(_worker_shared, *args)
+
+
+class TaskPool:
+    """Runs calls ``fn(shared, *args)`` of one step and returns their futures:
+    in-process and at once with ``jobs=1`` (an error raises from ``submit``),
+    else on ``jobs`` processes that receive ``shared`` once, through the pool
+    initializer. ``fn`` must be a module-level function, so that it pickles.
+    Leaving the ``with`` block cancels the calls not yet started."""
+
+    def __init__(self, shared, jobs: int) -> None:
+        self.shared = shared
+        self._pool = None
+        if jobs > 1:
+            self._pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
+
+    def submit(self, fn, *args) -> Future:
+        if self._pool is not None:
+            return self._pool.submit(_worker_call, fn, *args)
+        done = Future()
+        done.set_result(fn(self.shared, *args))
+        return done
+
+    def __enter__(self) -> "TaskPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def _fit_grid(
@@ -258,12 +293,9 @@ def _fit_grid(
         for k in range(plan.K)
         for l in range(plan.L)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(data,)) as pool:
-            results = list(pool.map(_worker_fit, *zip(*tasks)))
-    else:
-        results = [_fit_bag(data, *task) for task in tasks]
-    fitted = {task[:3]: model for task, model in zip(tasks, results)}
+    with TaskPool(data, jobs) as pool:
+        futures = [pool.submit(_fit_bag, *task) for task in tasks]
+        fitted = {task[:3]: future.result() for task, future in zip(tasks, futures)}
     return {
         link: [[fitted[(link, k, l)] for l in range(plan.L)] for k in range(plan.K)] for link in _FAMILIES
     }
@@ -272,9 +304,12 @@ def _fit_grid(
 def _bag_data(
     data: AuditDataset, X: BinnedMatrix, calibration: CalibrationMap | None, plan: BagPlan, config: TrainConfig
 ) -> _BagData:
-    """Mimic targets are the raw scores, or their calibrated log odds."""
+    """Mimic targets are the raw scores, or their calibrated log odds. The
+    codes are stored column by column as ``intp``: a fit gathers its bag's
+    rows in one pass, and boosting reads their columns without a copy."""
     mimic_targets = calibration.apply(data.score) if calibration else data.score
-    return _BagData(X, {IDENTITY: mimic_targets, LOGISTIC: data.outcome}, data.has_outcome, plan, config)
+    codes = BinnedMatrix(np.asfortranarray(X.codes, dtype=np.intp), X.schema)
+    return _BagData(codes, {IDENTITY: mimic_targets, LOGISTIC: data.outcome}, data.has_outcome, plan, config)
 
 
 def train_paired(
@@ -297,7 +332,6 @@ def train_paired(
     if plan.n_rows != data.n_rows:
         raise DataError("bag plan was made for a different number of rows")
     schema = schema or fit_schema(data)
-    X = bin_dataset(data, schema)
     labeled = data.has_outcome
     if not labeled.any():
         raise DataError("no labeled rows; the outcome ensemble cannot be trained")
@@ -306,8 +340,9 @@ def train_paired(
             if not (labeled[plan.train[k][l]].any() and labeled[plan.valid[k][l]].any()):
                 raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
 
-    models = _fit_grid(_bag_data(data, X, calibration, plan, config), jobs)
-    mass = [X.bin_mass(j) for j in range(schema.n_features)]
+    shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
+    mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
+    models = _fit_grid(shared, jobs)
     meta = {
         "calibrated": calibration is not None,
         "n_rows": data.n_rows,

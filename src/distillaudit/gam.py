@@ -207,10 +207,13 @@ def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
     return float(gains[t]), lo + start + t + 1
 
 
-def _segment(g: np.ndarray, d: np.ndarray, lo: int):
+def _segment(g: np.ndarray, d: np.ndarray, lo: int, cd: np.ndarray | None = None):
     """A segment of bins from ``lo``: its gradient and Hessian sums per bin,
-    their prefix sums and its best cut."""
-    cg, cd = g.cumsum(), d.cumsum()
+    their prefix sums and its best cut. ``cd`` passes the Hessian prefix
+    sums when they are known."""
+    cg = g.cumsum()
+    if cd is None:
+        cd = d.cumsum()
     return g, d, cg, cd, _best_cut(cg, cd, lo)
 
 
@@ -294,7 +297,11 @@ def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
 
 
 def _columns(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Bin codes of ``rows`` as one contiguous ``intp`` row per feature."""
+    """Bin codes of ``rows`` as one contiguous ``intp`` row per feature; a
+    view of column-major ``intp`` codes when ``rows`` are consecutive, as a
+    bag's training and validation rows are."""
+    if codes.dtype == np.intp and codes.flags.f_contiguous and len(rows) and (np.diff(rows) == 1).all():
+        return codes[rows[0] : rows[0] + len(rows)].T
     return np.array(codes[rows].T, dtype=np.intp, order="C")
 
 
@@ -331,17 +338,26 @@ def _segment_update(leaves: int, sum_g, denom, clip, gate):
     return None if len(bounds) == 2 else _leaf_values(sum_g, denom, bounds, clip)
 
 
-def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate):
-    """A pair's visit: leaf values of its rectangle tree, flattened, or None."""
+def _hessian_margins(DN: np.ndarray):
+    """Row and column sums of a pair's Hessian grid, their prefix sums, and its total."""
+    rows, cols = DN.sum(axis=1), DN.sum(axis=0)
+    return rows, rows.cumsum(), cols, cols.cumsum(), float(DN.sum())
+
+
+def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate, margins=None):
+    """A pair's visit: leaf values of its rectangle tree, flattened, or None.
+    ``margins`` are :func:`_hessian_margins` of ``denom`` when it never
+    changes (the identity link's cell counts), so a term sums them once."""
     SG, DN = sum_g.reshape(shape), denom.reshape(shape)
-    rects = _best_rect_tree(SG, DN, leaves)
+    rects = _best_rect_tree(SG, DN, leaves, margins=margins)
     if len(rects) == 1:
         return None
     sums = [(float(SG[r0:r1, c0:c1].sum()), float(DN[r0:r1, c0:c1].sum())) for r0, r1, c0, c1 in rects]
     # A pure interaction is flat along each axis, so its first cut gains
     # nothing; entry is judged on the whole tree instead, one chi-square
     # budget per accepted split.
-    if gate is not None and _rect_tree_gain(SG, DN, sums) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
+    total_d = None if margins is None else margins[4]
+    if gate is not None and _rect_tree_gain(SG, DN, sums, total_d) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
         return None
     V = np.zeros(shape)
     for (r0, r1, c0, c1), (g, d) in zip(rects, sums):
@@ -559,7 +575,7 @@ def rank_interaction_pairs(
 
 
 def _best_rect_tree(
-    SG: np.ndarray, DN: np.ndarray, max_leaves: int, min_gain: float = _MIN_GAIN
+    SG: np.ndarray, DN: np.ndarray, max_leaves: int, min_gain: float = _MIN_GAIN, margins=None
 ) -> list[tuple[int, int, int, int]]:
     """Greedy axis-aligned rectangle partition of the joint bin grid.
 
@@ -567,11 +583,17 @@ def _best_rect_tree(
     its marginal sums: row sums for cuts between rows, column sums for cuts
     between columns. A split's children slice their parent's marginal along
     the split axis, whose sums cover the same cells and so have the same
-    bits; only their marginals across it are summed again.
+    bits; only their marginals across it are summed again. ``margins``
+    passes :func:`_hessian_margins` of ``DN`` when they are known.
     """
     rects = [(0, SG.shape[0], 0, SG.shape[1])]
+    if margins is None:
+        d_rows, d_cols = DN.sum(axis=1), DN.sum(axis=0)
+        cd_rows = cd_cols = None
+    else:
+        d_rows, cd_rows, d_cols, cd_cols, _ = margins
     # Rectangle ri's row segment is segments[2 * ri], its column segment the next.
-    segments = [_segment(SG.sum(axis=1), DN.sum(axis=1), 0), _segment(SG.sum(axis=0), DN.sum(axis=0), 0)]
+    segments = [_segment(SG.sum(axis=1), d_rows, 0, cd_rows), _segment(SG.sum(axis=0), d_cols, 0, cd_cols)]
     for _ in range(max_leaves - 1):
         at, best = _best_of(segments)
         if best is None or best[0] <= min_gain:
@@ -596,11 +618,13 @@ def _best_rect_tree(
     return rects
 
 
-def _rect_tree_gain(SG: np.ndarray, DN: np.ndarray, sums) -> float:
+def _rect_tree_gain(SG: np.ndarray, DN: np.ndarray, sums, total_d: float | None = None) -> float:
     """Squared-error reduction of a rectangle partition over the root fit,
-    given the (gradient, Hessian) sums of its rectangles."""
+    given the (gradient, Hessian) sums of its rectangles (and the grid's
+    Hessian total, when known)."""
     total_g = float(SG.sum())
-    total_d = float(DN.sum())
+    if total_d is None:
+        total_d = float(DN.sum())
     if total_d <= _MIN_HESSIAN:
         return 0.0
     gain = -(total_g**2) / total_d
@@ -660,7 +684,8 @@ def fit_interactions(
         cell = Ct[i] * bj + Ct[j]
         counts = np.bincount(cell, minlength=bi * bj).astype(float)
         valid = None if Cv is None else Cv[i] * bj + Cv[j]
-        terms.append(_Term(cell, valid, counts, partial(_rect_update, config.leaves, (bi, bj))))
+        margins = None if logistic else _hessian_margins(counts.reshape(bi, bj))
+        terms.append(_Term(cell, valid, counts, partial(_rect_update, config.leaves, (bi, bj), margins=margins)))
     yv = F_valid = None
     if valid_rows is not None:
         yv = y[valid_rows]

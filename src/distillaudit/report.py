@@ -195,9 +195,6 @@ def write_report(out_dir: str | Path, report: dict) -> Path:
     return path
 
 
-def save_all_models(out_dir: str | Path, paired: PairedEnsembles, linear_bags=None) -> list[str]:
-    models_dir = Path(out_dir) / "models"
-    paired.save_models(models_dir)
-    if linear_bags is not None:
-        linear_bags.save_models(models_dir)
-    return sorted(p.name for p in models_dir.iterdir())
+def save_all_models(out_dir: str | Path, paired: PairedEnsembles) -> list[str]:
+    """Write the paired ensembles' files under ``models/``; returns their names."""
+    return paired.save_models(Path(out_dir) / "models")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import distillaudit as da
+from distillaudit import cli
 from distillaudit.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DEGENERATE,
+    EXIT_TRAINING,
     main,
 )
 
@@ -199,6 +202,66 @@ class TestAudit:
                         "--L", "2", "--seed", "3", "--out", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+def tree_bytes(root):
+    """Every file under ``root`` but run_meta.json, by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file() and p.name != "run_meta.json"
+    }
+
+
+class TestJobs:
+    """``--jobs`` moves training and the post-training stages onto worker
+    processes; it changes neither the bytes written nor the stage an error
+    is reported from."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_jobs_do_not_change_output_bytes(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "partial-use", "--rows", "700", "--seed", "4", "--out", str(data)])
+        cfg = small_train_config(tmp_path)
+        code = f"""
+import multiprocessing
+from distillaudit.cli import main
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r}, force=True)
+    for jobs in ("1", "2"):
+        assert main(["audit", "--data", {str(data)!r}, "--config", {str(cfg)!r}, "--K", "2", "--L", "3",
+                     "--seed", "4", "--jobs", jobs, "--out", {str(tmp_path)!r} + "/jobs" + jobs]) == 0
+    print(multiprocessing.get_start_method())
+"""
+        assert run_fresh(code).splitlines()[-1] == method
+        serial = tree_bytes(tmp_path / "jobs1")
+        assert any(name.startswith("models/linear_") for name in serial)
+        assert tree_bytes(tmp_path / "jobs2") == serial
+
+    def test_baseline_error_keeps_its_stage_on_workers(self, tmp_path, monkeypatch, capsys):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched baseline only when forked")
+
+        def failing_baseline(*args, **kwargs):
+            raise da.TrainingError("logistic baseline did not converge")
+
+        monkeypatch.setattr(cli, "train_linear_bags", failing_baseline)
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "partial-use", "--rows", "400", "--out", str(data)])
+        code = run(["audit", "--data", str(data), "--config", str(small_train_config(tmp_path)),
+                    "--K", "2", "--L", "2", "--jobs", "2", "--out", str(tmp_path / "out")])
+        assert code == EXIT_TRAINING
+        assert "error[baseline]: logistic baseline did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_degenerate_missing_test_is_skipped_on_workers(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "partial-use", "--rows", "100", "--out", str(data)])
+        out = tmp_path / "out"
+        assert run(["audit", "--data", str(data), "--K", "2", "--L", "2", "--jobs", "2", "--out", str(out)]) == 0
+        missing = json.loads((out / "report.json").read_text())["missing_feature_test"]
+        assert missing["skipped"].startswith("need at least 30 error pairs")
 
 
 class TestExitCodes:
