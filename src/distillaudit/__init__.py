@@ -10,10 +10,10 @@ scale, and a correlation test for score inputs missing from the audit data.
 import os
 import sys
 
-# numpy's OpenBLAS starts a helper thread per core at import and threads every
-# product longer than 10,000 elements, so each of the --jobs processes would
-# contend for the same cores. Pin it to one thread while numpy is still
-# unloaded; a value set in the environment wins, and workers inherit the pin.
+# numpy's OpenBLAS starts a thread for each extra core at import and splits
+# every product longer than 10,000 elements across them, so the --jobs
+# processes would contend for the same cores. Pin it to one thread while numpy
+# is still unloaded; a value set in the environment wins, and workers inherit it.
 if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
