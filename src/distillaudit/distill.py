@@ -17,18 +17,20 @@ see only labeled rows.
 
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
 models through :class:`TaskPool`, which the CLI's post-training stages use
-too. A task names only its family and bag (and, for pair fits, carries the
-bag's main model). The binned matrix, targets, labeled mask, plan and config
-reach each ``--jobs`` worker once, through the pool initializer: inherited
-under ``fork``, pickled once per worker under ``spawn``. Each fit gathers
-its own bag's rows once, so the memory of the calling process does not grow
-with K x L. With ``jobs=1`` the same function runs in-process. Outcome fits,
-the slower family, are submitted first.
+too. The binned matrix with its schema, the targets, labeled mask, plan and
+config reach each ``--jobs`` worker once, through the pool initializer:
+inherited under ``fork``, pickled once per worker under ``spawn``. A task
+carries its family and bag and, for a pair fit, the bag's main model; models
+cross the pool without their schema, and the calling process rebuilds each
+against the one schema it holds. Each fit gathers its own bag's rows once,
+so the memory of the calling process does not grow with K x L. With
+``jobs=1`` the same function runs in-process, and no process-pool module is
+loaded. Outcome fits, the slower family, are submitted first.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -54,9 +56,15 @@ VALID_FRACTION = 0.15
 MIN_ROWS = 20
 
 
+def _index_dtype(n_rows: int) -> type:
+    """Dtype of a plan's row indices: int32 while ``n_rows`` fits, else intp."""
+    return np.int32 if n_rows <= np.iinfo(np.int32).max else np.intp
+
+
 @dataclass(frozen=True, eq=False)
 class BagPlan:
-    """Row indices for every (outer, inner) bag, fixed by (n_rows, K, L, seed)."""
+    """Row indices (of :func:`_index_dtype`) for every (outer, inner) bag,
+    fixed by (n_rows, K, L, seed)."""
 
     n_rows: int
     K: int
@@ -80,14 +88,15 @@ class BagPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BagPlan":
+        dtype = _index_dtype(int(d["n_rows"]))
         return cls(
             int(d["n_rows"]),
             int(d["K"]),
             int(d["L"]),
             int(d["seed"]),
-            tuple(np.asarray(t, int) for t in d["test"]),
-            tuple(tuple(np.asarray(b, int) for b in fold) for fold in d["train"]),
-            tuple(tuple(np.asarray(b, int) for b in fold) for fold in d["valid"]),
+            tuple(np.asarray(t, dtype) for t in d["test"]),
+            tuple(tuple(np.asarray(b, dtype) for b in fold) for fold in d["train"]),
+            tuple(tuple(np.asarray(b, dtype) for b in fold) for fold in d["valid"]),
         )
 
 
@@ -108,13 +117,14 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
     n_train = n_rows - n_test - n_valid
     if n_test < 1 or n_valid < 1 or n_train < 1:
         raise DataError("bag fractions leave an empty split")
+    dtype = _index_dtype(n_rows)
     rng = np.random.default_rng(seed)
     tests = []
     trains = []
     valids = []
     for _ in range(K):
-        test = np.sort(rng.choice(n_rows, size=n_test, replace=False))
-        rest = np.setdiff1d(np.arange(n_rows), test, assume_unique=True)
+        test = np.sort(rng.choice(n_rows, size=n_test, replace=False)).astype(dtype)
+        rest = np.setdiff1d(np.arange(n_rows, dtype=dtype), test, assume_unique=True)
         fold_train = []
         fold_valid = []
         for _ in range(L):
@@ -195,14 +205,15 @@ class PairedEnsembles:
 def _bag_rows(
     plan: BagPlan, k: int, l: int, labeled: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of bag (k, l), training rows first, and the local indices of its
-    validation rows. With a ``labeled`` mask, only labeled rows count."""
+    """Rows of bag (k, l), training rows first, as ``intp``, and the local
+    indices of its validation rows. With a ``labeled`` mask, only labeled
+    rows count."""
     train = plan.train[k][l]
     valid = plan.valid[k][l]
     if labeled is not None:
         train = train[labeled[train]]
         valid = valid[labeled[valid]]
-    rows = np.concatenate([train, valid])
+    rows = np.concatenate([train, valid], dtype=np.intp)
     return rows, np.arange(len(train), len(rows))
 
 
@@ -223,17 +234,28 @@ class _BagData:
 _FAMILIES = (LOGISTIC, IDENTITY)
 
 
-def _fit_bag(data: _BagData, link: str, k: int, l: int, model: AdditiveModel | None) -> AdditiveModel:
-    """Fit bag (k, l) of one family: main effects, or ``model``'s pair grids."""
+def _without_schema(model: AdditiveModel) -> dict:
+    """A model's fields but its schema; ``AdditiveModel(schema=s, **fields)``
+    rebuilds it against ``s``."""
+    return {name: value for name, value in vars(model).items() if name != "schema"}
+
+
+def _fit_bag(data: _BagData, link: str, k: int, l: int, base: dict | None) -> dict:
+    """Fit bag (k, l) of one family: main effects, or the pair grids of
+    ``base``, a main model without its schema. Returns the fitted model
+    without its schema."""
     rows, local_valid = _bag_rows(data.plan, k, l, data.labeled if link == LOGISTIC else None)
     X = data.X.take(rows)
     y = data.targets[link][rows]
-    if model is not None:
+    if base is not None:
         pairs = data.pairs
-        return fit_interactions(model, X, y, len(pairs), data.config, validation=local_valid, pairs=pairs)
-    if link == IDENTITY:
-        return train_regressor(X, y, data.config, validation=local_valid)
-    return train_classifier(X, y, data.config, validation=local_valid)
+        model = AdditiveModel(schema=data.X.schema, **base)
+        model = fit_interactions(model, X, y, len(pairs), data.config, validation=local_valid, pairs=pairs)
+    elif link == IDENTITY:
+        model = train_regressor(X, y, data.config, validation=local_valid)
+    else:
+        model = train_classifier(X, y, data.config, validation=local_valid)
+    return _without_schema(model)
 
 
 _worker_shared = None  # set in pool workers only, by _init_worker
@@ -259,6 +281,8 @@ class TaskPool:
         self.shared = shared
         self._pool = None
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
+
             self._pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
 
     def submit(self, fn, *args) -> Future:
@@ -283,19 +307,20 @@ def _fit_grid(
     each family's K x L model grid, keyed by link.
 
     Tasks carry only (link, k, l) and, for pair fits, the bag's main model
-    from ``base``; the shared data reaches each worker once.
+    from ``base`` without its schema; the shared data reaches each worker
+    once. Every model returned refers to ``data.X.schema``.
     """
     plan = data.plan
     bases = {} if base is None else {IDENTITY: base.mimic, LOGISTIC: base.outcome}
     tasks = [
-        (link, k, l, bases[link].models[k][l] if bases else None)
+        (link, k, l, _without_schema(bases[link].models[k][l]) if bases else None)
         for link in _FAMILIES
         for k in range(plan.K)
         for l in range(plan.L)
     ]
     with TaskPool(data, jobs) as pool:
         futures = [pool.submit(_fit_bag, *task) for task in tasks]
-        fitted = {task[:3]: future.result() for task, future in zip(tasks, futures)}
+        fitted = {t[:3]: AdditiveModel(schema=data.X.schema, **f.result()) for t, f in zip(tasks, futures)}
     return {
         link: [[fitted[(link, k, l)] for l in range(plan.L)] for k in range(plan.K)] for link in _FAMILIES
     }

@@ -42,7 +42,6 @@ from .stats import average_ranks
 MIN_PAIRS = 30
 EVIDENCE_MARGIN = 0.01
 DEFAULT_RESAMPLES = 1000
-Z_FISHER = 1.96
 
 
 @dataclass
@@ -345,15 +344,13 @@ def correlation_test(
     outcome_error,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-    pearson_ci: str = "bootstrap",
 ) -> CorrelationTest:
     """Correlate the two error series and bootstrap 95% intervals.
 
     Percentile bootstrap over row resamples; degenerate resamples (zero
-    variance in a margin) are dropped. ``pearson_ci="fisher"`` swaps the
-    Pearson interval for the Fisher z-transform normal approximation.
-    Intervals are widened to include the point estimate when a skewed
-    bootstrap distribution would otherwise exclude it.
+    variance in a margin) are dropped. Intervals are widened to include the
+    point estimate when a skewed bootstrap distribution would otherwise
+    exclude it.
     """
     a = np.asarray(mimic_error, dtype=float)
     b = np.asarray(outcome_error, dtype=float)
@@ -366,8 +363,6 @@ def correlation_test(
         raise DataError("error series contain non-finite values")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateStatisticsError("an error series is constant; correlation undefined")
-    if pearson_ci not in ("bootstrap", "fisher"):
-        raise DataError(f"pearson_ci must be bootstrap or fisher, got {pearson_ci!r}")
     if resamples < 100:
         raise DataError("resamples must be at least 100")
 
@@ -381,11 +376,6 @@ def correlation_test(
             raise DegenerateStatisticsError("too many degenerate bootstrap resamples")
         lo, hi = np.percentile(vals, [2.5, 97.5])
         intervals.append(CorrelationInterval(est, min(float(lo), est), max(float(hi), est)))
-
-    if pearson_ci == "fisher":
-        z = np.arctanh(np.clip(pr, -1 + 1e-12, 1 - 1e-12))
-        half = Z_FISHER / np.sqrt(n - 3)
-        intervals[0] = CorrelationInterval(pr, float(np.tanh(z - half)), float(np.tanh(z + half)))
 
     return CorrelationTest(
         pearson=intervals[0],

@@ -239,6 +239,19 @@ if __name__ == "__main__":
         assert any(name.startswith("models/linear_") for name in serial)
         assert tree_bytes(tmp_path / "jobs2") == serial
 
+    def test_pooled_pair_audit_pickles_no_schema(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the shared inputs only when forked")
+
+        def refuse(self, protocol):
+            raise AssertionError("a FeatureSchema was pickled")
+
+        monkeypatch.setattr(da.FeatureSchema, "__reduce_ex__", refuse)
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "partial-use", "--rows", "400", "--out", str(data)])
+        assert run(["audit", "--data", str(data), "--config", str(small_train_config(tmp_path, max_rounds=40)),
+                    "--K", "2", "--L", "2", "--pairs", "1", "--jobs", "2", "--out", str(tmp_path / "out")]) == 0
+
     def test_baseline_error_keeps_its_stage_on_workers(self, tmp_path, monkeypatch, capsys):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched baseline only when forked")
@@ -376,3 +389,17 @@ assert main(["test-missing", "--data", {str(out / "error_pairs.csv")!r}, "--resa
 {PRINT_SCIPY_MODULES}
 """
         assert run_fresh(code).splitlines()[-1] == "[]"
+
+    def test_serial_audit_leaves_multiprocessing_unloaded(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "partial-use", "--rows", "400", "--out", str(data)])
+        code = f"""
+import sys
+from distillaudit.cli import main
+print("multiprocessing" in sys.modules)
+assert main(["audit", "--data", {str(data)!r}, "--config", {str(small_train_config(tmp_path))!r},
+             "--K", "2", "--L", "2", "--jobs", "1", "--out", {str(tmp_path / "out")!r}]) == 0
+print("multiprocessing" in sys.modules)
+"""
+        lines = run_fresh(code).splitlines()
+        assert [lines[0], lines[-1]] == ["False", "False"]

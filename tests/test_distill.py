@@ -6,6 +6,7 @@ sequential result bit for bit.
 """
 
 import json
+import multiprocessing
 import subprocess
 import sys
 import textwrap
@@ -126,6 +127,13 @@ class TestBagPlan:
         assert plans_equal(loaded, plan)
         assert loaded.seed == plan.seed
         assert loaded.K == plan.K and loaded.L == plan.L
+        for p in (plan, loaded):
+            arrays = [*p.test, *(a for fold in p.train + p.valid for a in fold)]
+            assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+    def test_index_dtype_widens_past_int32(self):
+        assert distill._index_dtype(2**31 - 1) is np.int32
+        assert distill._index_dtype(2**31) is np.intp
 
 
 class TestPairedTraining:
@@ -193,6 +201,24 @@ class TestPairedTraining:
         assert model_bytes(seq) == model_bytes(par)
         assert all(m.surfaces for fold in par.outcome.models for m in fold)
 
+    def test_pooled_models_share_one_schema_and_pickle_none(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the shared inputs only when forked")
+
+        def refuse(self, protocol):
+            raise AssertionError("a FeatureSchema was pickled")
+
+        monkeypatch.setattr(da.FeatureSchema, "__reduce_ex__", refuse)
+        data = small_dataset()
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0)
+        paired = da.train_paired(data, plan=plan, config=config, jobs=2)
+        for result in (paired, da.with_interactions(paired, data, 1, config, jobs=2)):
+            assert result.schema is paired.schema
+            models = [m for ens in (result.mimic, result.outcome) for fold in ens.models for m in fold]
+            assert len(models) == 8
+            assert all(m.schema is paired.schema for m in models)
+
     def test_parallel_matches_sequential_under_spawn(self):
         """Spawned workers start from a fresh import and get the shared data
         through the pool initializer, as on macOS and Windows."""
@@ -226,7 +252,7 @@ class TestPairedTraining:
     def test_bag_without_labeled_rows_fails_before_dispatch(self, monkeypatch):
         plan = da.plan_bags(400, K=2, L=2, seed=0)
         data = unlabeled_outside(small_dataset(), plan)
-        monkeypatch.setattr(distill, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(da.TrainingError, match=r"bag \(0, 0\) has no labeled rows"):
             da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5), jobs=2)
 
@@ -234,7 +260,7 @@ class TestPairedTraining:
         ds, _ = da.gen_partial_use(n_rows=600, seed=2)
         path = tmp_path / "data.csv"
         unlabeled_outside(ds, da.plan_bags(ds.n_rows, K=2, L=2, seed=5)).to_csv(path)
-        monkeypatch.setattr(distill, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         code = main(["audit", "--data", str(path), "--K", "2", "--L", "2", "--seed", "5",
                      "--jobs", "2", "--out", str(tmp_path / "out")])
         assert code == EXIT_TRAINING
