@@ -1,11 +1,14 @@
 """Linear and logistic baselines on the raw (un-binned) features.
 
 The additive tree ensembles justify their complexity only if they beat a
-plain linear model on the same data splits, so the baseline reuses the bag
-plan and reports the same fold metrics. Numeric features enter as-is with
-missing values imputed by the full-data mean; categorical features are
-one-hot encoded over the schema categories, with missing or unseen values
-encoded as all-zero.
+plain linear model on the same data splits. So the baseline trains on the
+rows :func:`~distillaudit.distill.bag_split` gives each bag, against
+:func:`~distillaudit.distill.mimic_targets` and the outcomes, and keeps each
+K x L grid in a :class:`~distillaudit.distill.BagEnsemble`, which averages
+folds and writes model files as it does for the additive ensembles. Numeric
+features enter as-is with missing values imputed by the full-data mean;
+categorical features are one-hot encoded over the schema categories, with
+missing or unseen values encoded as all-zero.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationMap
-from .data import NUMERIC, AuditDataset, FeatureSchema, dump_json, fit_schema
-from .distill import BagPlan, FidelityMetrics, fold_fidelity
+# dump_json is not called here; tests of the model-file writer patch it in this module.
+from .data import NUMERIC, AuditDataset, FeatureSchema, dump_json, fit_schema  # noqa: F401
+from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, fold_fidelity, mimic_targets
 from .errors import DataError, TrainingError
 from .gam import IDENTITY, LOGISTIC
 from .stats import mean_nll, sigmoid
@@ -179,24 +183,20 @@ def train_linear(
 
 @dataclass
 class LinearBags:
-    """K x L linear mimic and outcome models over one bag plan."""
+    """The linear baseline over one bag plan: ``mimic`` holds the linear
+    (identity-link) models of the mimic targets and ``outcome`` the logistic
+    models of the labels, one per bag each. ``design`` is the design matrix
+    their ``predict`` reads, with one name per column in ``columns``."""
 
-    mimics: list[list[LinearModel]]
-    outcomes: list[list[LinearModel]]
+    mimic: BagEnsemble
+    outcome: BagEnsemble
     design: np.ndarray
     columns: list[str]
 
     def save_models(self, directory: str | Path) -> list[str]:
         """Write every model as a JSON file; returns their names."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        names = []
-        for name, grid in (("linear_mimic", self.mimics), ("linear_outcome", self.outcomes)):
-            for k, fold in enumerate(grid):
-                for l, model in enumerate(fold):
-                    names.append(f"{name}_k{k}_l{l}.json")
-                    dump_json(directory / names[-1], model.to_json_dict())
-        return names
+        names = self.mimic.save_models(directory, "linear_mimic", {})
+        return names + self.outcome.save_models(directory, "linear_outcome", {})
 
 
 def train_linear_bags(
@@ -214,22 +214,20 @@ def train_linear_bags(
     """
     schema = schema or fit_schema(data)
     A, columns = design_matrix(data, schema)
-    targets = calibration.apply(data.score) if calibration else data.score
-    labeled = data.has_outcome
-    mimics = []
-    outcomes = []
-    for k in range(plan.K):
-        mimics.append(
-            [train_linear(A[tr], targets[tr], IDENTITY, columns, l2) for tr in plan.train[k]]
-        )
-        fold = []
-        for tr in plan.train[k]:
-            lab = tr[labeled[tr]]
-            if len(lab) == 0:
-                raise TrainingError(f"fold {k} has no labeled training rows")
-            fold.append(train_linear(A[lab], data.outcome[lab], LOGISTIC, columns, l2))
-        outcomes.append(fold)
-    return LinearBags(mimics, outcomes, A, columns)
+
+    def grid(link: str, targets: np.ndarray, labeled: np.ndarray | None) -> BagEnsemble:
+        models = []
+        for k in range(plan.K):
+            models.append([])
+            for l in range(plan.L):
+                rows, _ = bag_split(plan, k, l, labeled)
+                if len(rows) == 0:
+                    raise TrainingError(f"bag ({k}, {l}) has no labeled training rows")
+                models[k].append(train_linear(A[rows], targets[rows], link, columns, l2))
+        return BagEnsemble(models, link, schema)
+
+    mimic = grid(IDENTITY, mimic_targets(data, calibration), None)
+    return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), A, columns)
 
 
 def linear_fold_metrics(
@@ -240,11 +238,4 @@ def linear_fold_metrics(
 ) -> FidelityMetrics:
     """Fold metrics for trained linear bags, averaged like the additive ones."""
     A = bags.design
-
-    def score_fold(k: int, rows: np.ndarray) -> np.ndarray:
-        return np.mean([m.predict(A[rows]) for m in bags.mimics[k]], axis=0)
-
-    def prob_fold(k: int, rows: np.ndarray) -> np.ndarray:
-        return np.mean([m.predict(A[rows]) for m in bags.outcomes[k]], axis=0)
-
-    return fold_fidelity("linear", data, plan, score_fold, prob_fold, calibration)
+    return fold_fidelity("linear", data, plan, bags.mimic, bags.outcome, lambda rows: A[rows], calibration)

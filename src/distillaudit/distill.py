@@ -13,7 +13,9 @@ The K x L grid of models per family feeds the variance estimates in
 held-out error pairs in :mod:`distillaudit.missing`.
 
 Rows without an outcome label still train the mimic models; outcome models
-see only labeled rows.
+see only labeled rows, as :func:`bag_split` selects them. Every K x L grid,
+the linear baseline's of :mod:`distillaudit.baseline` included, is a
+:class:`BagEnsemble` trained on those bag rows and on :func:`mimic_targets`.
 
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
 models through :class:`TaskPool`, which the CLI's post-training stages use
@@ -137,11 +139,30 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
     return BagPlan(n_rows, K, L, seed, tuple(tests), tuple(trains), tuple(valids))
 
 
+def bag_split(
+    plan: BagPlan, k: int, l: int, labeled: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Training and validation rows of bag (k, l); with a ``labeled`` mask,
+    only the labeled ones."""
+    train = plan.train[k][l]
+    valid = plan.valid[k][l]
+    if labeled is None:
+        return train, valid
+    return train[labeled[train]], valid[labeled[valid]]
+
+
+def mimic_targets(data: AuditDataset, calibration: CalibrationMap | None) -> np.ndarray:
+    """What every mimic model fits: the raw scores, or their calibrated log odds."""
+    return calibration.apply(data.score) if calibration else data.score
+
+
 @dataclass
 class BagEnsemble:
-    """K x L grid of additive models sharing one link and schema."""
+    """K x L grid of models sharing one link and schema: additive models, or
+    the baseline's linear ones. Every model has ``predict`` and
+    ``to_json_dict``."""
 
-    models: list[list[AdditiveModel]]
+    models: list[list]
     link: str
     schema: FeatureSchema
 
@@ -166,10 +187,23 @@ class BagEnsemble:
                     raise DataError(f"pair ({i}, {j}) was not fitted")
                 yield grid
 
-    def predict_fold(self, k: int, X: BinnedMatrix) -> np.ndarray:
-        """Average prediction of outer fold k's inner models."""
+    def predict_fold(self, k: int, X) -> np.ndarray:
+        """Average prediction of outer fold k's inner models on ``X``, the
+        rows their ``predict`` reads: a binned matrix or design-matrix rows."""
         preds = np.stack([m.predict(X) for m in self.models[k]])
         return preds.mean(axis=0)
+
+    def save_models(self, directory: str | Path, name: str, extra: dict) -> list[str]:
+        """Write each model, with the fields of ``extra`` added, to a JSON
+        file named after ``name`` and its bag; returns the file names."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        names = []
+        for k, fold in enumerate(self.models):
+            for l, model in enumerate(fold):
+                names.append(f"{name}_k{k}_l{l}.json")
+                dump_json(directory / names[-1], {**model.to_json_dict(), **extra})
+        return names
 
 
 @dataclass
@@ -189,32 +223,12 @@ class PairedEnsembles:
         returns their names. The schema, which every model file embeds, is
         formatted once."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         schema = preformat(self.schema.to_json_dict())
+        models = self.mimic.save_models(directory, "mimic", {"schema": schema})
+        models += self.outcome.save_models(directory, "outcome", {"schema": schema})
         dump_json(directory / "plan.json", self.plan.to_json_dict())
         dump_json(directory / "schema.json", schema)
-        names = ["plan.json", "schema.json"]
-        for name, ens in (("mimic", self.mimic), ("outcome", self.outcome)):
-            for k, fold in enumerate(ens.models):
-                for l, model in enumerate(fold):
-                    names.append(f"{name}_k{k}_l{l}.json")
-                    dump_json(directory / names[-1], {**model.to_json_dict(), "schema": schema})
-        return names
-
-
-def _bag_rows(
-    plan: BagPlan, k: int, l: int, labeled: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of bag (k, l), training rows first, as ``intp``, and the local
-    indices of its validation rows. With a ``labeled`` mask, only labeled
-    rows count."""
-    train = plan.train[k][l]
-    valid = plan.valid[k][l]
-    if labeled is not None:
-        train = train[labeled[train]]
-        valid = valid[labeled[valid]]
-    rows = np.concatenate([train, valid], dtype=np.intp)
-    return rows, np.arange(len(train), len(rows))
+        return ["plan.json", "schema.json", *models]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +258,9 @@ def _fit_bag(data: _BagData, link: str, k: int, l: int, base: dict | None) -> di
     """Fit bag (k, l) of one family: main effects, or the pair grids of
     ``base``, a main model without its schema. Returns the fitted model
     without its schema."""
-    rows, local_valid = _bag_rows(data.plan, k, l, data.labeled if link == LOGISTIC else None)
+    train, valid = bag_split(data.plan, k, l, data.labeled if link == LOGISTIC else None)
+    rows = np.concatenate([train, valid], dtype=np.intp)
+    local_valid = np.arange(len(train), len(rows))
     X = data.X.take(rows)
     y = data.targets[link][rows]
     if base is not None:
@@ -300,11 +316,9 @@ class TaskPool:
             self._pool.shutdown(cancel_futures=True)
 
 
-def _fit_grid(
-    data: _BagData, jobs: int, base: PairedEnsembles | None = None
-) -> dict[str, list[list[AdditiveModel]]]:
+def _fit_grid(data: _BagData, jobs: int, base: PairedEnsembles | None = None) -> dict[str, BagEnsemble]:
     """Fit every bag of both families, in a pool when ``jobs`` > 1; returns
-    each family's K x L model grid, keyed by link.
+    each family's ensemble, keyed by link.
 
     Tasks carry only (link, k, l) and, for pair fits, the bag's main model
     from ``base`` without its schema; the shared data reaches each worker
@@ -320,21 +334,20 @@ def _fit_grid(
     ]
     with TaskPool(data, jobs) as pool:
         futures = [pool.submit(_fit_bag, *task) for task in tasks]
-        fitted = {t[:3]: AdditiveModel(schema=data.X.schema, **f.result()) for t, f in zip(tasks, futures)}
-    return {
-        link: [[fitted[(link, k, l)] for l in range(plan.L)] for k in range(plan.K)] for link in _FAMILIES
-    }
+        grids = {link: [[] for _ in range(plan.K)] for link in _FAMILIES}
+        for (link, k, _, _), f in zip(tasks, futures):  # tasks run through l in order
+            grids[link][k].append(AdditiveModel(schema=data.X.schema, **f.result()))
+    return {link: BagEnsemble(grid, link, data.X.schema) for link, grid in grids.items()}
 
 
 def _bag_data(
     data: AuditDataset, X: BinnedMatrix, calibration: CalibrationMap | None, plan: BagPlan, config: TrainConfig
 ) -> _BagData:
-    """Mimic targets are the raw scores, or their calibrated log odds. The
-    codes are stored column by column as ``intp``: a fit gathers its bag's
-    rows in one pass, and boosting reads their columns without a copy."""
-    mimic_targets = calibration.apply(data.score) if calibration else data.score
+    """The codes are stored column by column as ``intp``: a fit gathers its
+    bag's rows in one pass, and boosting reads their columns without a copy."""
     codes = BinnedMatrix(np.asfortranarray(X.codes, dtype=np.intp), X.schema)
-    return _BagData(codes, {IDENTITY: mimic_targets, LOGISTIC: data.outcome}, data.has_outcome, plan, config)
+    targets = {IDENTITY: mimic_targets(data, calibration), LOGISTIC: data.outcome}
+    return _BagData(codes, targets, data.has_outcome, plan, config)
 
 
 def train_paired(
@@ -348,9 +361,8 @@ def train_paired(
     """Train the mimic ensemble on (calibrated) scores and the outcome
     ensemble on labels, over identical bag splits.
 
-    Mimic targets are the raw scores, or their calibrated log odds when a
-    calibration map is given. ``config.n_pairs`` > 0 adds pairwise grids via
-    :func:`with_interactions` after the main fits.
+    Mimic targets come from :func:`mimic_targets`. ``config.n_pairs`` > 0
+    adds pairwise grids via :func:`with_interactions` after the main fits.
     """
     config = config or TrainConfig()
     plan = plan or plan_bags(data.n_rows, seed=config.seed)
@@ -362,27 +374,19 @@ def train_paired(
         raise DataError("no labeled rows; the outcome ensemble cannot be trained")
     for k in range(plan.K):
         for l in range(plan.L):
-            if not (labeled[plan.train[k][l]].any() and labeled[plan.valid[k][l]].any()):
+            if not all(map(len, bag_split(plan, k, l, labeled))):
                 raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
 
     shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
     mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
-    models = _fit_grid(shared, jobs)
+    ensembles = _fit_grid(shared, jobs)
     meta = {
         "calibrated": calibration is not None,
         "n_rows": data.n_rows,
         "n_score_only": data.n_score_only,
         "config": {f: getattr(config, f) for f in TrainConfig.__dataclass_fields__},
     }
-    return PairedEnsembles(
-        BagEnsemble(models[IDENTITY], IDENTITY, schema),
-        BagEnsemble(models[LOGISTIC], LOGISTIC, schema),
-        plan,
-        schema,
-        calibration,
-        mass,
-        meta,
-    )
+    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass, meta)
 
 
 def with_interactions(
@@ -408,24 +412,15 @@ def with_interactions(
     p = paired.schema.n_features
     if n_pairs > p * (p - 1) // 2:
         raise ConfigError(f"n_pairs={n_pairs} exceeds the {p * (p - 1) // 2} available pairs")
-    rows00, _ = _bag_rows(plan, 0, 0)
+    rows00 = np.concatenate(bag_split(plan, 0, 0), dtype=np.intp)
     ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=rows00)
     pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
 
-    models = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
-    meta = dict(paired.meta)
-    meta["interaction_pairs"] = [
-        {"i": i, "j": j, "names": [paired.schema.names[i], paired.schema.names[j]]} for i, j in pairs
-    ]
-    return PairedEnsembles(
-        BagEnsemble(models[IDENTITY], IDENTITY, paired.schema),
-        BagEnsemble(models[LOGISTIC], LOGISTIC, paired.schema),
-        plan,
-        paired.schema,
-        paired.calibration,
-        paired.bin_mass,
-        meta,
-    )
+    ensembles = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
+    names = paired.schema.names
+    fitted_pairs = [{"i": i, "j": j, "names": [names[i], names[j]]} for i, j in pairs]
+    meta = {**paired.meta, "interaction_pairs": fitted_pairs}
+    return replace(paired, mimic=ensembles[IDENTITY], outcome=ensembles[LOGISTIC], meta=meta)
 
 
 @dataclass
@@ -470,24 +465,25 @@ def fold_fidelity(
     name: str,
     data: AuditDataset,
     plan: BagPlan,
-    predict_score_fold,
-    predict_prob_fold,
+    mimic: BagEnsemble,
+    outcome: BagEnsemble,
+    gather,
     calibration: CalibrationMap | None,
 ) -> FidelityMetrics:
     """Evaluate per-fold test RMSE against raw scores and AUC against outcomes.
 
-    ``predict_score_fold(k, rows)`` returns score-scale predictions for the
-    given row indices (on the calibrated log-odds scale when a calibration
-    map is in use; they are mapped back before the RMSE).
-    ``predict_prob_fold(k, rows)`` returns outcome probabilities. Folds whose
-    labeled test rows hold a single class are skipped for AUC and counted.
+    ``gather(rows)`` returns the input rows the ensembles' models read.
+    Mimic predictions are on the calibrated log-odds scale when a
+    calibration map is in use; they are mapped back before the RMSE. Folds
+    whose labeled test rows hold a single class are skipped for AUC and
+    counted.
     """
     rmses = []
     aucs = []
     skipped = 0
     labeled = data.has_outcome
     for k, test in enumerate(plan.test):
-        pred = predict_score_fold(k, test)
+        pred = mimic.predict_fold(k, gather(test))
         if calibration is not None:
             pred = calibration.inverse(pred)
         rmses.append(rmse(pred, data.score[test]))
@@ -495,7 +491,7 @@ def fold_fidelity(
         if len(lab) == 0:
             skipped += 1
             continue
-        prob = predict_prob_fold(k, lab)
+        prob = outcome.predict_fold(k, gather(lab))
         try:
             aucs.append(auc(data.outcome[lab], prob))
         except DegenerateStatisticsError:
@@ -508,11 +504,4 @@ def fold_fidelity(
 def fidelity(paired: PairedEnsembles, data: AuditDataset, name: str = "additive") -> FidelityMetrics:
     """Held-out fidelity of the paired ensembles on their outer test folds."""
     X = bin_dataset(data, paired.schema)
-    return fold_fidelity(
-        name,
-        data,
-        paired.plan,
-        lambda k, rows: paired.mimic.predict_fold(k, X.take(rows)),
-        lambda k, rows: paired.outcome.predict_fold(k, X.take(rows)),
-        paired.calibration,
-    )
+    return fold_fidelity(name, data, paired.plan, paired.mimic, paired.outcome, X.take, paired.calibration)

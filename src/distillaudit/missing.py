@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import AuditDataset, bin_dataset
-from .distill import PairedEnsembles
+from .distill import PairedEnsembles, mimic_targets
 from .errors import DataError, DegenerateStatisticsError
 from .stats import average_ranks
 
@@ -109,7 +109,7 @@ def error_pairs(paired: PairedEnsembles, data: AuditDataset) -> ErrorPairs:
         fold_of[paired.plan.test[k]] = k
     labeled = data.has_outcome
     use = (fold_of >= 0) & labeled
-    targets = paired.calibration.apply(data.score) if paired.calibration else data.score
+    targets = mimic_targets(data, paired.calibration)
 
     mimic_err = np.full(data.n_rows, np.nan)
     outcome_err = np.full(data.n_rows, np.nan)
@@ -273,11 +273,11 @@ def _block(n: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_CELLS // n))
 
 
-def _point_estimates(a: np.ndarray, b: np.ndarray, ranked=None) -> tuple[float, float, float]:
+def _point_estimates(a: np.ndarray, b: np.ndarray, ranked) -> tuple[float, float, float]:
     """Pearson, Spearman and Kendall tau-b of the sample, equal to
     ``scipy.stats.pearsonr``, ``spearmanr`` and ``kendalltau``. ``ranked``
-    is ``_ranked(a, b, block)`` for any block; it is built when not given."""
-    ia, ib, pair, order, discordance = _ranked(a, b, 1) if ranked is None else ranked
+    is ``_ranked(a, b, block)`` for any block."""
+    ia, ib, pair, order, discordance = ranked
     ma, mb, mab = np.bincount(ia), np.bincount(ib), np.bincount(pair)
     spearman = np.corrcoef(average_ranks(ia, ma), average_ranks(ib, mb))[1, 0]
     discordance.counts[: len(a), 0] = 1
@@ -295,7 +295,7 @@ def _weighted_pearson(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return min(max(float(r), -1.0), 1.0)
 
 
-def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int, ranked=None) -> np.ndarray:
+def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int, ranked) -> np.ndarray:
     """Pearson, Spearman and Kendall tau-b of each row resample, one row each.
 
     A resample is held as the count ``c`` of times each row was drawn, from
@@ -305,11 +305,11 @@ def _bootstrap(a: np.ndarray, b: np.ndarray, resamples: int, seed: int, ranked=N
     resamples at once from :class:`_Discordance` and ties from integer
     counts, so it equals ``stats.kendalltau`` on the gathered rows bit for
     bit. Resamples constant in a margin stay NaN. ``ranked`` is
-    ``_ranked(a, b, _block(len(a)))``; it is built when not given.
+    ``_ranked(a, b, _block(len(a)))``.
     """
     n = len(a)
     block = _block(n)
-    ia, ib, pair, order, discordance = _ranked(a, b, block) if ranked is None else ranked
+    ia, ib, pair, order, discordance = ranked
     rng = np.random.default_rng(seed)
     boots = np.full((resamples, 3), np.nan)
     for start in range(0, resamples, block):

@@ -156,11 +156,23 @@ class TestLinearBags:
         data = self.dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
         bags = train_linear_bags(data, plan)
-        assert len(bags.mimics) == 2 and len(bags.mimics[0]) == 2
-        model = bags.mimics[0][0]
+        assert len(bags.mimic.models) == 2 and len(bags.mimic.models[0]) == 2
+        assert (bags.mimic.link, bags.outcome.link) == (IDENTITY, LOGISTIC)
+        model = bags.mimic.models[0][0]
         lookup = dict(zip(bags.columns, model.weights))
         assert lookup["x0"] == pytest.approx(2.0, abs=1e-3)
         assert lookup["x1"] == pytest.approx(-1.0, abs=1e-3)
+
+    def test_bag_without_labeled_training_rows_is_named(self):
+        data = self.dataset(n=300)
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        outcome = data.outcome.copy()
+        outcome[plan.train[1][0]] = np.nan
+        unlabeled = da.AuditDataset.from_arrays(
+            {"x0": data.columns["x0"], "x1": data.columns["x1"]}, score=data.score, outcome=outcome
+        )
+        with pytest.raises(da.TrainingError, match=r"bag \(1, 0\) has no labeled training rows"):
+            train_linear_bags(unlabeled, plan)
 
     def test_fold_metrics_near_zero_rmse_on_linear_score(self):
         data = self.dataset()

@@ -279,6 +279,18 @@ class TestPairedTraining:
             target[rows].mean(), abs=1e-9
         )
 
+    def test_interactions_keep_what_the_ensembles_share(self):
+        data = small_dataset()
+        cmap = da.fit_calibration(data.score, data.outcome)
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0)
+        paired = da.train_paired(data, calibration=cmap, plan=plan, config=config)
+        extended = da.with_interactions(paired, data, 1, config)
+        for name in ("plan", "schema", "calibration", "bin_mass"):
+            assert getattr(extended, name) is getattr(paired, name)
+        assert extended.meta["calibrated"] and len(extended.meta["interaction_pairs"]) == 1
+        assert (extended.mimic.link, extended.outcome.link) == (IDENTITY, LOGISTIC)
+
     def test_plan_row_count_mismatch_rejected(self):
         data = small_dataset()
         plan = da.plan_bags(data.n_rows + 1, K=2, L=2, seed=0)

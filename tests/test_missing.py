@@ -170,7 +170,7 @@ class TestBootstrapOracle:
     )
     def test_matches_scipy_on_gathered_rows(self, make, seed, resamples):
         a, b = make(seed)
-        got = _bootstrap(a, b, resamples, seed)
+        got = _bootstrap(a, b, resamples, seed, _ranked(a, b, _block(len(a))))
         want = reference_bootstrap(a, b, resamples, seed)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_array_equal(got[:, 2], want[:, 2])
@@ -189,7 +189,7 @@ class TestBootstrapOracle:
 
     def test_tie_heavy_input_has_degenerate_resamples(self):
         a, b = tie_heavy(0)
-        assert np.isnan(_bootstrap(a, b, 400, 0)[:, 0]).any()
+        assert np.isnan(_bootstrap(a, b, 400, 0, _ranked(a, b, _block(len(a))))[:, 0]).any()
 
 
 def distinct(seed, n=3000):
@@ -210,7 +210,7 @@ class TestPointEstimateOracle:
     @pytest.mark.parametrize("make, seed", [c[1:3] for c in POINT_CASES], ids=[c[0] for c in POINT_CASES])
     def test_matches_scipy(self, make, seed):
         a, b = make(seed)
-        pearson, spearman, kendall = _point_estimates(a, b)
+        pearson, spearman, kendall = _point_estimates(a, b, _ranked(a, b, 1))
         assert kendall == stats.kendalltau(a, b).statistic
         assert pearson == pytest.approx(stats.pearsonr(a, b).statistic, rel=0, abs=1e-15)
         assert spearman == pytest.approx(stats.spearmanr(a, b).statistic, rel=0, abs=1e-15)
@@ -222,11 +222,14 @@ class TestRankOnce:
 
     @pytest.mark.parametrize("make, seed", [c[1:3] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
     def test_shared_ranking_changes_nothing(self, make, seed):
+        """One ranking serves the point estimates and then the bootstrap,
+        whose discordance counts overwrite the ones the point estimates
+        left: each gives what it gives on a ranking of its own."""
         a, b = make(seed)
         ranked = _ranked(a, b, _block(len(a)))
-        assert _point_estimates(a, b, ranked) == _point_estimates(a, b)
+        assert _point_estimates(a, b, ranked) == _point_estimates(a, b, _ranked(a, b, 1))
         shared = _bootstrap(a, b, 200, seed, ranked)
-        np.testing.assert_array_equal(shared, _bootstrap(a, b, 200, seed))
+        np.testing.assert_array_equal(shared, _bootstrap(a, b, 200, seed, _ranked(a, b, _block(len(a)))))
 
     def test_one_ranking_per_test(self, monkeypatch):
         calls = []
