@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationMap
-# dump_json is not called here; tests of the model-file writer patch it in this module.
-from .data import NUMERIC, AuditDataset, FeatureSchema, dump_json, fit_schema  # noqa: F401
+from .data import NUMERIC, AuditDataset, FeatureSchema, fit_schema
 from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, fold_fidelity, mimic_targets
 from .errors import DataError, TrainingError
 from .gam import IDENTITY, LOGISTIC

@@ -129,6 +129,8 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
 
 def _load_dataset(args, stage: _Stage):
     stage.at("config")
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     load_dict, train_dict = _read_config_file(args.config)
     if args.score_col is not None:
         load_dict["score_column"] = args.score_col

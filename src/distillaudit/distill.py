@@ -361,8 +361,9 @@ def train_paired(
     """Train the mimic ensemble on (calibrated) scores and the outcome
     ensemble on labels, over identical bag splits.
 
-    Mimic targets come from :func:`mimic_targets`. ``config.n_pairs`` > 0
-    adds pairwise grids via :func:`with_interactions` after the main fits.
+    Mimic targets come from :func:`mimic_targets`. Only main effects are
+    fitted, whatever ``config.n_pairs`` says; :func:`with_interactions`
+    adds the pairwise grids to the result.
     """
     config = config or TrainConfig()
     plan = plan or plan_bags(data.n_rows, seed=config.seed)

@@ -19,6 +19,14 @@ After boosting every table is mean-centered over its training cell masses
 and the removed means are folded into the intercept, so table values read
 as signed deviations from the average prediction.
 
+A fitted pair grid is stored as its distinct values plus one small index
+per cell (see :class:`InteractionSurface`). A grid is a sum of a few
+rectangle-constant updates per round, so it holds few distinct values:
+3 to 17 in the 16,641 cells of a 129 x 129 grid after 50 rounds, and at
+most 2,472 after 3,000 rounds, in the fits measured. The index then takes
+one or two bytes a cell instead of eight, which matters because an audit
+keeps each pair's grid in all K x L bags of both families.
+
 Trees, leaf values, and tie-breaks are deterministic: candidate cuts are
 scanned in ascending bin order and only a strictly larger gain replaces
 the incumbent, so the lowest boundary wins ties. All cuts of a segment are
@@ -100,14 +108,28 @@ class TrainConfig:
         return cls(**d)
 
 
-@dataclass
 class InteractionSurface:
-    """Pairwise contribution grid: values[b_i, b_j] adds to the prediction."""
+    """Pairwise contribution grid: ``values[b_i, b_j]`` adds to the prediction.
 
-    i: int
-    j: int
-    names: tuple[str, str]
-    values: np.ndarray
+    The grid is stored as its distinct values ``levels``, told apart by bit
+    pattern so that ``-0.0`` and ``0.0`` stay distinct, and an ``index`` of
+    one level per cell in the smallest unsigned dtype that holds
+    ``len(levels) - 1``. ``values`` builds the dense grid on each read and
+    returns it read-only.
+    """
+
+    def __init__(self, i: int, j: int, names: tuple[str, str], values) -> None:
+        self.i, self.j, self.names = i, j, names
+        grid = np.asarray(values, dtype=float)
+        bits, index = np.unique(grid.ravel().view(np.int64), return_inverse=True)
+        self.levels = bits.view(np.float64)
+        self.index = index.astype(np.min_scalar_type(len(bits) - 1)).reshape(grid.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        grid = self.levels[self.index]
+        grid.flags.writeable = False
+        return grid
 
 
 @dataclass
@@ -136,7 +158,7 @@ class AdditiveModel:
         for j, h in enumerate(self.shapes):
             out += h[X.column(j)]
         for s in self.surfaces:
-            out += s.values[X.column(s.i), X.column(s.j)]
+            out += s.levels[s.index[X.column(s.i), X.column(s.j)]]
         return out
 
     def predict(self, X: BinnedMatrix) -> np.ndarray:
@@ -155,7 +177,7 @@ class AdditiveModel:
             "schema": self.schema.to_json_dict(),
             "shapes": {name: np.asarray(h, float) for name, h in zip(self.schema.names, self.shapes)},
             "surfaces": [
-                {"i": s.i, "j": s.j, "names": list(s.names), "values": np.asarray(s.values, float)}
+                {"i": s.i, "j": s.j, "names": list(s.names), "values": s.values}
                 for s in self.surfaces
             ],
             "metadata": self.metadata,
@@ -166,8 +188,7 @@ class AdditiveModel:
         schema = FeatureSchema.from_json_dict(d["schema"])
         shapes = [np.asarray(d["shapes"][name], float) for name in schema.names]
         surfaces = [
-            InteractionSurface(s["i"], s["j"], tuple(s["names"]), np.asarray(s["values"], float))
-            for s in d["surfaces"]
+            InteractionSurface(s["i"], s["j"], tuple(s["names"]), s["values"]) for s in d["surfaces"]
         ]
         return cls(float(d["intercept"]), d["link"], schema, shapes, surfaces, dict(d["metadata"]))
 

@@ -328,6 +328,14 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_audit_jobs_below_one(self, tmp_path, capsys, jobs):
+        data = write_kinked(tmp_path, rows=600)
+        code = run(["audit", "--data", str(data), "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTestMissing:
     def test_identical_columns_give_unit_estimates(self, tmp_path, capsys):

@@ -241,12 +241,25 @@ def stacked_surface(ensemble, i, j):
 class TestSurfaceMeans:
     def test_bit_equal_to_the_stacked_mean(self):
         paired = pair_fit(3, 4)
+
+        def rewrite(m, edit):
+            s = m.surfaces[0]
+            grid = s.values.copy()
+            edit(grid)
+            m.surfaces[0] = da.InteractionSurface(s.i, s.j, s.names, grid)
+
+        def every_bag(grid):
+            grid[0, :4] = -0.0
+            grid[1, 0] *= -1.0
+
+        def one_bag(grid):
+            grid[2, :3] = -0.0
+
         # cells that are -0.0 in every bag, or in some bags only
         for fold in paired.mimic.models:
             for m in fold:
-                m.surfaces[0].values[0, :4] = -0.0
-                m.surfaces[0].values[1, 0] *= -1.0
-        paired.mimic.models[0][0].surfaces[0].values[2, :3] = -0.0
+                rewrite(m, every_bag)
+        rewrite(paired.mimic.models[0][0], one_bag)
         sc = da.summarize(paired).surfaces[0]
         mt = stacked_surface(paired.mimic, sc.i, sc.j)
         ot = stacked_surface(paired.outcome, sc.i, sc.j)

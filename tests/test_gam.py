@@ -276,6 +276,50 @@ class TestModelObject:
             da.TrainConfig.from_dict({"learning_rate": 0.1, "bogus": 2})
 
 
+class TestSurfaceStorage:
+    """A pair grid is stored as its distinct values plus a per-cell index and
+    reads back bit for bit."""
+
+    def table(self):
+        rng = np.random.default_rng(13)
+        cols = {f"x{j}": rng.integers(0, 40, size=500).astype(float) for j in range(2)}
+        ds = da.AuditDataset.from_arrays(cols, np.zeros(500), np.zeros(500))
+        return da.bin_dataset(ds, da.fit_schema(ds))
+
+    def grids(self, shape):
+        """(grid, distinct bit patterns, index dtype) triples."""
+        signed = np.zeros(shape)
+        signed[0, 1] = -0.0
+        signed[1] = 2.5
+        many = np.random.default_rng(14).normal(size=shape)
+        return [(signed, 3, np.uint8), (np.full(shape, -1.25), 1, np.uint8), (many, many.size, np.uint16)]
+
+    def test_grid_round_trips_bit_for_bit(self, tmp_path):
+        X = self.table()
+        shapes = [np.zeros(X.schema.n_bins(j)) for j in range(2)]
+        for grid, n_levels, dtype in self.grids((X.schema.n_bins(0), X.schema.n_bins(1))):
+            surface = da.InteractionSurface(0, 1, ("x0", "x1"), grid)
+            assert len(surface.levels) == n_levels and surface.index.dtype == dtype
+            np.testing.assert_array_equal(surface.values.view(np.int64), grid.view(np.int64))
+            model = da.AdditiveModel(0.5, IDENTITY, X.schema, shapes, [surface])
+            dense = np.full(X.n_rows, 0.5)
+            for j, h in enumerate(shapes):
+                dense += h[X.column(j)]
+            dense += grid[X.column(0), X.column(1)]
+            np.testing.assert_array_equal(model.decision(X).view(np.int64), dense.view(np.int64))
+            path = tmp_path / "model.json"
+            dump_json(path, model.to_json_dict())
+            loaded = da.AdditiveModel.from_json_dict(load_json(path)).surfaces[0]
+            np.testing.assert_array_equal(loaded.values.view(np.int64), grid.view(np.int64))
+
+    def test_values_are_read_only(self):
+        X = self.table()
+        surface = da.InteractionSurface(0, 1, ("x0", "x1"), np.zeros((X.schema.n_bins(0), X.schema.n_bins(1))))
+        with pytest.raises(ValueError, match="read-only"):
+            surface.values[0, 0] = 1.0
+        assert not surface.values.any()
+
+
 class TestInteractions:
     def interaction_data(self, seed=0, n=4000):
         ds, truth = da.gen_interaction(n_rows=n, seed=seed)

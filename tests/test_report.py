@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import distillaudit as da
-from distillaudit import baseline, cli, distill, report, svg
+from distillaudit import cli, distill, report, svg
 from distillaudit.data import dump_json
 from distillaudit.report import (
     _safe_name,
@@ -152,7 +152,7 @@ class TestWriterOracle:
             assert Path(path).read_bytes() == (tmp_path / "want.svg").read_bytes(), path
             checked.append(Path(path))
 
-        for module in (baseline, cli, distill, report):
+        for module in (cli, distill, report):
             monkeypatch.setattr(module, "dump_json", checked_dump)
         monkeypatch.setattr(svg, "heatmap_chart", checked_heatmap)
         data = tmp_path / "inter.csv"
