@@ -5,12 +5,18 @@ from only eight of them. Distilling the score and fitting the outcome on
 identical bag splits makes the omission visible: the mimic's curves are
 flat with tight bands on the ignored features while the outcome model's
 are not, and the per-feature discrepancy ranking puts all eight ignored
-features on top.
+features on top. The demo runs the whole audit, as the ``audit`` subcommand
+does, and prints its calibration decision first: this score's link to the
+outcome is far enough from log-odds linear that the mimic targets the
+calibrated score.
 """
+
+import tempfile
 
 import numpy as np
 
 import distillaudit as da
+from distillaudit.cli import run_audit
 
 
 def main() -> None:
@@ -18,15 +24,16 @@ def main() -> None:
     unused = set(truth["unused"])
 
     cfg = da.TrainConfig(learning_rate=0.1, max_rounds=300, patience=40, seed=0)
-    plan = da.plan_bags(ds.n_rows, K=3, L=3, seed=0)
-    schema = da.fit_schema(ds, max_bins=32)
-    paired = da.train_paired(ds, plan=plan, config=cfg, schema=schema, jobs=2)
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = run_audit(ds, out_dir, da.LoadConfig(max_bins=32), cfg, K=3, L=3, seed=0, jobs=2)
 
-    fm = da.fidelity(paired, ds)
-    print(f"mimic held-out RMSE: {fm.score_rmse_mean:.4f}")
-    print(f"outcome held-out AUC: {fm.outcome_auc_mean:.4f}")
+    decision = result.decision
+    print(f"calibration: {'applied' if decision['applied'] else 'not applied'} ({decision['reason']})")
+    for fm in result.fidelities:
+        print(f"{fm.name} held-out score RMSE {fm.score_rmse_mean:.4f}, outcome AUC {fm.outcome_auc_mean:.4f}")
+    print(f"missing-feature test: {result.missing.get('verdict', 'skipped')}")
 
-    summary = da.summarize(paired)
+    summary = result.summary
     print("\ndiscrepancy ranking (mimic curve vs outcome curve):")
     print("rank  feature  discrepancy  ignored by score?")
     for rank, (name, gap) in enumerate(summary.ranking, start=1):

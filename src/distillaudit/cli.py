@@ -2,12 +2,18 @@
 
 Each subcommand maps onto library calls; failures surface as stage-tagged
 messages on stderr with stable exit codes (2 config, 3 data, 4 training,
-5 degenerate statistics). The audit writes artifacts as stages complete, so
-a failed run keeps everything produced before the failure. After training,
-the baseline, the missing-feature test and the model files run as tasks on
-the ``--jobs`` workers, concurrently with the rest; their errors are raised
-in stage order (baseline, missing-test, report), so the tag and exit code
-are those of a serial run.
+5 degenerate statistics, 1 any other error, such as an output that cannot
+be written). A missing, unreadable or non-UTF-8 input is a data error, or a
+config error for ``--config``.
+
+The audit itself is :func:`run_audit`, shared by the ``audit`` subcommand,
+the demos and library code (the package root does not import this module).
+It writes artifacts as stages complete, so a failed run keeps everything
+produced before the failure. After training, the baseline, the
+missing-feature test and the model files run as tasks on the ``jobs``
+workers, concurrently with the rest; their errors are raised in stage order
+(baseline, missing-test, report), so the tag and exit code are those of a
+serial run.
 """
 
 from __future__ import annotations
@@ -28,7 +34,15 @@ from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import decide_calibration, diagnose, fit_calibration
 from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, load_json
-from .distill import PairedEnsembles, TaskPool, fidelity, plan_bags, train_paired, with_interactions
+from .distill import (
+    FidelityMetrics,
+    PairedEnsembles,
+    TaskPool,
+    fidelity,
+    plan_bags,
+    train_paired,
+    with_interactions,
+)
 from .errors import (
     AuditError,
     ConfigError,
@@ -38,7 +52,7 @@ from .errors import (
 )
 from .gam import TrainConfig
 from .missing import correlation_test, error_pairs, load_error_pairs_csv
-from .compare import summarize
+from .compare import ComparisonSummary, summarize
 from .report import (
     build_report,
     save_all_models,
@@ -117,6 +131,10 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path} ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(d, dict):
         raise ConfigError("config file must contain a JSON object")
     if "load" in d or "train" in d:
@@ -195,26 +213,79 @@ def cmd_audit(args, stage: _Stage) -> int:
     started = time.time()
     data, load_cfg, train_cfg = _load_dataset(args, stage)
     out_dir = Path(args.out)
-    decision, diag_raw, cmap = _calibration_stage(data, args.calibration, out_dir, stage)
+    result = run_audit(
+        data, out_dir, load_cfg, train_cfg,
+        calibration=args.calibration, K=args.K, L=args.L, seed=args.seed, jobs=args.jobs, stage=stage,
+    )
+    _write_run_meta(out_dir, started, stage, jobs=args.jobs)
+
+    for fm in result.fidelities:
+        auc_txt = "n/a" if fm.outcome_auc_mean is None else f"{fm.outcome_auc_mean:.4f}"
+        print(f"{fm.name}: score RMSE {fm.score_rmse_mean:.4f}, outcome AUC {auc_txt}")
+    if "verdict" in result.missing:
+        print(f"missing-feature test: {result.missing['verdict']}")
+    top = result.summary.ranking[0] if result.summary.ranking else None
+    if top and top[1] > 0:
+        print(f"largest discrepancy: {top[0]} ({top[1]:.4f})")
+    print(f"report: {out_dir / 'report.json'}")
+    return 0
+
+
+class AuditResult(NamedTuple):
+    """What :func:`run_audit` found, as its ``report.json`` records it."""
+
+    decision: dict
+    final: PairedEnsembles
+    summary: ComparisonSummary
+    fidelities: list[FidelityMetrics]
+    missing: dict
+
+
+def run_audit(
+    data: AuditDataset,
+    out_dir: str | Path,
+    load_config: LoadConfig,
+    train_config: TrainConfig,
+    *,
+    calibration: str = "auto",
+    K: int = 5,
+    L: int = 5,
+    seed: int = 0,
+    jobs: int = 1,
+    stage: _Stage | None = None,
+) -> AuditResult:
+    """The ``audit`` subcommand on a loaded table: calibrate, distill the
+    score and fit the outcome on one bag plan, compare the two families and
+    test for a missing feature, writing every file of the audit's ``--out``
+    tree but ``run_meta.json`` under ``out_dir``.
+
+    ``load_config`` gives the bin count and the column names the report
+    echoes; ``calibration``, ``K``, ``L``, ``seed`` and ``jobs`` are the
+    flags of the same names. ``stage``, when given, times each stage and
+    names the stage an error is raised in.
+    """
+    stage = stage or _Stage()
+    out_dir = Path(out_dir)
+    decision, diag_raw, cmap = _calibration_stage(data, calibration, out_dir, stage)
 
     stage.at("plan")
-    schema = fit_schema(data, load_cfg.max_bins)
-    plan = plan_bags(data.n_rows, K=args.K, L=args.L, seed=args.seed)
+    schema = fit_schema(data, load_config.max_bins)
+    plan = plan_bags(data.n_rows, K=K, L=L, seed=seed)
 
     stage.at("train")
-    paired = train_paired(data, cmap, plan, train_cfg, schema, jobs=args.jobs)
+    paired = train_paired(data, cmap, plan, train_config, schema, jobs=jobs)
     fidelities = [fidelity(paired, data, name="additive")]
     final = paired
-    if train_cfg.n_pairs > 0:
-        final = with_interactions(paired, data, train_cfg.n_pairs, train_cfg, jobs=args.jobs)
+    if train_config.n_pairs > 0:
+        final = with_interactions(paired, data, train_config.n_pairs, train_config, jobs=jobs)
         fidelities.append(fidelity(final, data, name="additive_interactions"))
 
     # The baseline, the missing-feature test and the model files need only
     # the trained ensembles, so they run on the workers while this process
-    # compares the ensembles and writes the curves and plots. With --jobs 1
+    # compares the ensembles and writes the curves and plots. With jobs=1
     # each task runs when submitted, in the serial order.
     stage.at("baseline")
-    with TaskPool(_TailInputs(data, final, out_dir, args.seed), args.jobs) as pool:
+    with TaskPool(_TailInputs(data, final, out_dir, seed), jobs) as pool:
         baseline = pool.submit(_measured, _baseline_task)
 
         stage.at("compare")
@@ -236,32 +307,21 @@ def cmd_audit(args, stage: _Stage) -> int:
     artifacts["calibration"] = ["calibration.json", "calibration_diagnostics.csv"]
     artifacts["error_pairs"] = ["error_pairs.csv"]
     config_echo = {
-        "data": str(args.data),
-        "calibration": args.calibration,
-        "K": args.K,
-        "L": args.L,
-        "seed": args.seed,
-        "max_bins": load_cfg.max_bins,
-        "score_column": load_cfg.score_column,
-        "outcome_column": load_cfg.outcome_column,
-        "train": {f: getattr(train_cfg, f) for f in TrainConfig.__dataclass_fields__},
+        "data": data.meta.get("source"),
+        "calibration": calibration,
+        "K": K,
+        "L": L,
+        "seed": seed,
+        "max_bins": load_config.max_bins,
+        "score_column": load_config.score_column,
+        "outcome_column": load_config.outcome_column,
+        "train": {f: getattr(train_config, f) for f in TrainConfig.__dataclass_fields__},
     }
     report = build_report(
         data, config_echo, decision, diag_raw, summary, fidelities, missing_json, artifacts
     )
-    path = write_report(out_dir, report)
-    _write_run_meta(out_dir, started, stage, jobs=args.jobs)
-
-    for fm in fidelities:
-        auc_txt = "n/a" if fm.outcome_auc_mean is None else f"{fm.outcome_auc_mean:.4f}"
-        print(f"{fm.name}: score RMSE {fm.score_rmse_mean:.4f}, outcome AUC {auc_txt}")
-    if "verdict" in missing_json:
-        print(f"missing-feature test: {missing_json['verdict']}")
-    top = summary.ranking[0] if summary.ranking else None
-    if top and top[1] > 0:
-        print(f"largest discrepancy: {top[0]} ({top[1]:.4f})")
-    print(f"report: {path}")
-    return 0
+    write_report(out_dir, report)
+    return AuditResult(decision, final, summary, fidelities, missing_json)
 
 
 class _TailInputs(NamedTuple):
@@ -328,7 +388,9 @@ def cmd_gen_synthetic(args, stage: _Stage) -> int:
     kwargs: dict = {"seed": args.seed}
     if args.rows is not None:
         kwargs["n_rows"] = args.rows
-    if args.kind == "hidden-feature" and args.control:
+    if args.control:
+        if args.kind != "hidden-feature":
+            raise ConfigError(f"--control applies to --kind hidden-feature only, not {args.kind}")
         kwargs["hidden"] = False
     data, truth = gen(**kwargs)
     out = Path(args.out)
@@ -422,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateStatisticsError as exc:
         print(f"error[{stage.name}]: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except AuditError as exc:
+    except (AuditError, OSError) as exc:  # an OSError here failed to write an output
         print(f"error[{stage.name}]: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from itertools import islice
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -171,6 +172,24 @@ def load_json(path: str | Path):
         return json.load(fh)
 
 
+@contextmanager
+def open_text(path: str | Path, what: str):
+    """``path`` opened as UTF-8 text for :mod:`csv`. A file that is missing,
+    cannot be opened (a directory, say) or does not decode raises
+    :class:`DataError` naming it as ``what``."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{what} is not UTF-8 text: {path} ({exc.reason} at byte {exc.start})") from None
+
+
 @dataclass(frozen=True)
 class LoadConfig:
     """How to read a delimited text file into an :class:`AuditDataset`."""
@@ -185,16 +204,7 @@ class LoadConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LoadConfig":
-        known = {
-            "score_column",
-            "outcome_column",
-            "delimiter",
-            "feature_types",
-            "feature_columns",
-            "missing_markers",
-            "max_bins",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
@@ -365,11 +375,7 @@ def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset
     whole file has been read.
     """
     config = config or LoadConfig()
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"data file not found: {path}") from exc
-    with fh:
+    with open_text(path, "data file") as fh:
         reader = csv.reader(fh, delimiter=config.delimiter)
         try:
             header = next(reader)
@@ -453,7 +459,7 @@ def _leading_texts(path: str | Path, delimiter: str, layout: tuple, counts: dict
     texts: dict[int, list] = {i: [] for i in counts}
     if not any(counts.values()):
         return texts
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, "data file") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         next(reader)
         kept = (row[0] for row in _accepted_rows(reader, *layout) if row is not None)

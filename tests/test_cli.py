@@ -13,6 +13,7 @@ import pytest
 
 import distillaudit as da
 from distillaudit import cli
+from distillaudit.data import dump_json
 from distillaudit.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -79,6 +80,13 @@ class TestGenSynthetic:
         b = da.load_csv(ctl)
         np.testing.assert_array_equal(a.score, b.score)
         assert not np.array_equal(a.outcome, b.outcome)
+
+    def test_control_flag_rejected_for_other_kinds(self, tmp_path, capsys):
+        out = tmp_path / "lin.csv"
+        code = run(["gen-synthetic", "--kind", "linear-score", "--control", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "error[generate]: --control" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_kind_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -277,6 +285,41 @@ if __name__ == "__main__":
         assert missing["skipped"].startswith("need at least 30 error pairs")
 
 
+class TestRunAudit:
+    """The pipeline function behind ``audit``, called as library code."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_the_audit_subcommand(self, tmp_path, jobs):
+        data = tmp_path / "data.csv"
+        run(["gen-synthetic", "--kind", "kinked-score", "--rows", "700", "--seed", "2", "--out", str(data)])
+        cfg = small_train_config(tmp_path, max_rounds=60)
+        assert run(["audit", "--data", str(data), "--config", str(cfg), "--K", "2", "--L", "2", "--seed", "2",
+                    "--pairs", "1", "--jobs", str(jobs), "--out", str(tmp_path / "cli")]) == 0
+
+        load_cfg = da.LoadConfig(max_bins=16)
+        train_cfg = da.TrainConfig(learning_rate=0.15, max_rounds=60, n_pairs=1, seed=2)
+        result = cli.run_audit(da.load_csv(str(data), load_cfg), tmp_path / "lib", load_cfg, train_cfg,
+                               K=2, L=2, seed=2, jobs=jobs)
+        assert not (tmp_path / "lib" / "run_meta.json").exists()
+        assert tree_bytes(tmp_path / "lib") == tree_bytes(tmp_path / "cli")
+
+        report = json.loads((tmp_path / "cli" / "report.json").read_text())
+        dump_json(tmp_path / "returned.json", {
+            "decision": result.decision,
+            "fidelity": [fm.to_json_dict() for fm in result.fidelities],
+            "missing_feature_test": result.missing,
+        })
+        returned = json.loads((tmp_path / "returned.json").read_text())
+        assert returned["decision"] == report["calibration"]["decision"]
+        assert returned["fidelity"] == report["fidelity"]
+        assert returned["missing_feature_test"] == report["missing_feature_test"]
+        assert returned["decision"]["applied"] is True
+        assert [n for n, _ in result.summary.ranking] == [
+            r["feature"] for r in report["comparison"]["discrepancy_ranking"]
+        ]
+        assert len(result.final.mimic.models[0][0].surfaces) == 1
+
+
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(["calibrate", "--data", str(tmp_path / "absent.csv"),
@@ -292,6 +335,36 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "error[config]" in capsys.readouterr().err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        data = write_kinked(tmp_path, rows=600)
+        code = run(["calibrate", "--data", str(data), "--config", str(tmp_path),
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "error[config]: cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "test-missing"])
+    @pytest.mark.parametrize("bad", ["directory", "latin-1"])
+    def test_unreadable_data_file(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "in"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("fold,mimic_abs_error,outcome_abs_error,caf\xe9\n".encode("latin-1"))
+        code = run([command, "--data", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error[load]: ")
+        assert ("cannot read" if bad == "directory" else "is not UTF-8 text") in err
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        data = write_kinked(tmp_path, rows=600)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(["audit", "--data", str(data), "--K", "2", "--L", "2",
+                    "--out", str(blocker / "o")])
+        assert code == 1
+        assert "error[calibrate]: [Errno" in capsys.readouterr().err
 
     def test_unknown_config_section(self, tmp_path):
         data = write_kinked(tmp_path, rows=600)

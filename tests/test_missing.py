@@ -271,6 +271,12 @@ class TestDiscordanceCounter:
             assert [int(d) for d in got] == [brute_discordant(a, b, c) for c in weights], n
 
 
+def test_discordance_index_arrays_are_int32():
+    a, b = np.random.default_rng(0).normal(size=(2, 1000))
+    discordance = _ranked(a, b, 16)[-1]
+    assert [(perm.dtype, pos.dtype) for perm, pos in discordance.levels] == [(np.int32, np.int32)] * 10
+
+
 def hidden_pipeline(strength, hidden, n_rows=4000, seed=0):
     ds, _ = da.gen_hidden_feature(n_rows=n_rows, seed=seed, strength=strength, hidden=hidden)
     plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=seed)
