@@ -25,7 +25,7 @@ def main() -> None:
 
     cfg = da.TrainConfig(learning_rate=0.1, max_rounds=300, patience=40, seed=0)
     with tempfile.TemporaryDirectory() as out_dir:
-        result = run_audit(ds, out_dir, da.LoadConfig(max_bins=32), cfg, K=3, L=3, seed=0, jobs=2)
+        result = run_audit(ds, out_dir, da.LoadConfig(max_bins=32), cfg, K=3, L=3, jobs=2)
 
     decision = result.decision
     print(f"calibration: {'applied' if decision['applied'] else 'not applied'} ({decision['reason']})")

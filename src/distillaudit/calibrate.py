@@ -24,6 +24,7 @@ from .errors import DataError, DegenerateStatisticsError
 from .stats import clamp_probability, weighted_line_fit
 
 AUTO_LINEARITY_THRESHOLD = 0.15
+MAX_BUCKETS = 50  # score buckets of the linearity diagnostic
 
 
 @dataclass(frozen=True)
@@ -184,19 +185,19 @@ class CalibrationDiagnostics:
         }
 
 
-def diagnose(scores, outcomes, max_buckets: int = 50) -> CalibrationDiagnostics:
+def diagnose(scores, outcomes) -> CalibrationDiagnostics:
     """Bucket scores, compute empirical outcome rates, and fit lines.
 
     Distinct score values become buckets directly when there are at most
-    ``max_buckets`` of them; otherwise quantile buckets are used. Bucketing
+    ``MAX_BUCKETS`` of them; otherwise quantile buckets are used. Bucketing
     here is for the linearity diagnostic only and never feeds the models.
     """
     s, y = _labeled(scores, outcomes)
     distinct = np.unique(s)
-    if len(distinct) <= max_buckets:
+    if len(distinct) <= MAX_BUCKETS:
         levels, inverse_idx = distinct, np.searchsorted(distinct, s)
     else:
-        qs = np.arange(1, max_buckets) / max_buckets
+        qs = np.arange(1, MAX_BUCKETS) / MAX_BUCKETS
         edges = np.unique(np.quantile(s, qs))
         inverse_idx = np.searchsorted(edges, s, side="right")
         levels = None

@@ -51,7 +51,7 @@ from .errors import (
     TrainingError,
 )
 from .gam import TrainConfig
-from .missing import correlation_test, error_pairs, load_error_pairs_csv
+from .missing import MIN_RESAMPLES, correlation_test, error_pairs, load_error_pairs_csv
 from .compare import ComparisonSummary, summarize
 from .report import (
     build_report,
@@ -66,6 +66,12 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_DEGENERATE = 5
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    DataError: EXIT_DATA,
+    TrainingError: EXIT_TRAINING,
+    DegenerateStatisticsError: EXIT_DEGENERATE,
+}
 
 
 def _max_rss_mib() -> float | None:
@@ -118,11 +124,8 @@ class _Stage:
 
 
 def _read_config_file(path: str | None) -> tuple[dict, dict]:
-    """Split a --config JSON file into load and train sections.
-
-    Top-level keys ``load`` and ``train`` hold the two sections; a flat file
-    with neither key is treated as a load config.
-    """
+    """Split a --config JSON file into its ``load`` and ``train`` sections,
+    the only keys it may hold; each is optional."""
     if path is None:
         return {}, {}
     try:
@@ -137,12 +140,13 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(d, dict):
         raise ConfigError("config file must contain a JSON object")
-    if "load" in d or "train" in d:
-        extra = set(d) - {"load", "train"}
-        if extra:
-            raise ConfigError(f"unknown config sections: {sorted(extra)}")
-        return dict(d.get("load", {})), dict(d.get("train", {}))
-    return d, {}
+    extra = set(d) - {"load", "train"}
+    if extra:
+        raise ConfigError(f"unknown config sections: {sorted(extra)}")
+    sections = d.get("load", {}), d.get("train", {})
+    if not all(isinstance(section, dict) for section in sections):
+        raise ConfigError("config sections load and train must be JSON objects")
+    return dict(sections[0]), dict(sections[1])
 
 
 def _load_dataset(args, stage: _Stage):
@@ -150,12 +154,14 @@ def _load_dataset(args, stage: _Stage):
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     load_dict, train_dict = _read_config_file(args.config)
+    if "seed" in train_dict:
+        raise ConfigError("the train section takes no seed; --seed sets it")
     if args.score_col is not None:
         load_dict["score_column"] = args.score_col
     if args.outcome_col is not None:
         load_dict["outcome_column"] = args.outcome_col
     load_cfg = LoadConfig.from_dict(load_dict)
-    train_dict.setdefault("seed", args.seed)
+    train_dict["seed"] = args.seed
     if getattr(args, "pairs", None):
         train_dict["n_pairs"] = args.pairs
     train_cfg = TrainConfig.from_dict(train_dict)
@@ -215,7 +221,7 @@ def cmd_audit(args, stage: _Stage) -> int:
     out_dir = Path(args.out)
     result = run_audit(
         data, out_dir, load_cfg, train_cfg,
-        calibration=args.calibration, K=args.K, L=args.L, seed=args.seed, jobs=args.jobs, stage=stage,
+        calibration=args.calibration, K=args.K, L=args.L, jobs=args.jobs, stage=stage,
     )
     _write_run_meta(out_dir, started, stage, jobs=args.jobs)
 
@@ -250,7 +256,6 @@ def run_audit(
     calibration: str = "auto",
     K: int = 5,
     L: int = 5,
-    seed: int = 0,
     jobs: int = 1,
     stage: _Stage | None = None,
 ) -> AuditResult:
@@ -260,9 +265,10 @@ def run_audit(
     tree but ``run_meta.json`` under ``out_dir``.
 
     ``load_config`` gives the bin count and the column names the report
-    echoes; ``calibration``, ``K``, ``L``, ``seed`` and ``jobs`` are the
-    flags of the same names. ``stage``, when given, times each stage and
-    names the stage an error is raised in.
+    echoes; ``train_config.seed`` seeds the bag plan and the missing-feature
+    bootstrap. ``calibration``, ``K``, ``L`` and ``jobs`` are the flags of
+    the same names. ``stage``, when given, times each stage and names the
+    stage an error is raised in.
     """
     stage = stage or _Stage()
     out_dir = Path(out_dir)
@@ -270,7 +276,7 @@ def run_audit(
 
     stage.at("plan")
     schema = fit_schema(data, load_config.max_bins)
-    plan = plan_bags(data.n_rows, K=K, L=L, seed=seed)
+    plan = plan_bags(data.n_rows, K=K, L=L, seed=train_config.seed)
 
     stage.at("train")
     paired = train_paired(data, cmap, plan, train_config, schema, jobs=jobs)
@@ -285,7 +291,7 @@ def run_audit(
     # compares the ensembles and writes the curves and plots. With jobs=1
     # each task runs when submitted, in the serial order.
     stage.at("baseline")
-    with TaskPool(_TailInputs(data, final, out_dir, seed), jobs) as pool:
+    with TaskPool(_TailInputs(data, final, out_dir), jobs) as pool:
         baseline = pool.submit(_measured, _baseline_task)
 
         stage.at("compare")
@@ -311,7 +317,7 @@ def run_audit(
         "calibration": calibration,
         "K": K,
         "L": L,
-        "seed": seed,
+        "seed": train_config.seed,
         "max_bins": load_config.max_bins,
         "score_column": load_config.score_column,
         "outcome_column": load_config.outcome_column,
@@ -330,7 +336,6 @@ class _TailInputs(NamedTuple):
     data: AuditDataset
     final: PairedEnsembles
     out_dir: Path
-    seed: int
 
 
 def _measured(tail: _TailInputs, task):
@@ -351,7 +356,7 @@ def _missing_test_task(tail: _TailInputs) -> dict:
     pairs, or why it was skipped. The pairs go to error_pairs.csv."""
     pairs = error_pairs(tail.final, tail.data)
     try:
-        missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=tail.seed).to_json_dict()
+        missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=tail.final.plan.seed).to_json_dict()
     except DegenerateStatisticsError as exc:
         missing_json = {"skipped": str(exc)}
     missing_json["n_excluded_never_held_out"] = pairs.n_excluded_never_held_out
@@ -366,6 +371,9 @@ def _models_task(tail: _TailInputs) -> list[str]:
 
 def cmd_test_missing(args, stage: _Stage) -> int:
     started = time.time()
+    stage.at("config")
+    if args.resamples < MIN_RESAMPLES:
+        raise ConfigError(f"--resamples must be at least {MIN_RESAMPLES}, got {args.resamples}")
     stage.at("load")
     pairs = load_error_pairs_csv(args.data)
     stage.at("missing-test")
@@ -423,7 +431,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file (load/train sections)")
     p.add_argument("--score-col", default=None, help="score column name (default: score)")
     p.add_argument("--outcome-col", default=None, help="outcome column name (default: outcome)")
-    p.add_argument("--seed", type=int, default=0, help="seed for splits and training")
+    p.add_argument("--seed", type=int, default=0, help="seed for the bag plan and the missing-feature bootstrap")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -472,21 +480,9 @@ def main(argv: list[str] | None = None) -> int:
     stage = _Stage()
     try:
         return args.func(args, stage)
-    except ConfigError as exc:
-        print(f"error[{stage.name}]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error[{stage.name}]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingError as exc:
-        print(f"error[{stage.name}]: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except DegenerateStatisticsError as exc:
-        print(f"error[{stage.name}]: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (AuditError, OSError) as exc:  # an OSError here failed to write an output
         print(f"error[{stage.name}]: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -59,24 +59,24 @@ class ContributionCurve:
 
 
 @dataclass
-class DifferenceCurve:
+class DifferenceCurve(ContributionCurve):
     """Per-bin mimic-minus-outcome shape difference with 95% bounds."""
 
-    feature: str
-    mean: np.ndarray
-    variance: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     significant: np.ndarray
+
+
+def _band(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grand mean, little-bags variance and pointwise 95% bounds of a
+    (K, L, bins) grid of per-bag values; every band of the audit is set here."""
+    mean = tensor.mean(axis=(0, 1))
+    var = little_bags_variance(tensor)
+    half = Z_95 * np.sqrt(var)
+    return mean, var, mean - half, mean + half
 
 
 def curve(ensemble: BagEnsemble, feature: int, name: str | None = None) -> ContributionCurve:
     """Ensemble-mean shape of one feature with little-bags 95% bounds."""
-    tensor = ensemble.shape_tensor(feature)
-    mean = tensor.mean(axis=(0, 1))
-    var = little_bags_variance(tensor)
-    half = Z_95 * np.sqrt(var)
-    return ContributionCurve(name or ensemble.schema.names[feature], mean, var, mean - half, mean + half)
+    return ContributionCurve(name or ensemble.schema.names[feature], *_band(ensemble.shape_tensor(feature)))
 
 
 def difference(paired: PairedEnsembles, feature: int) -> DifferenceCurve:
@@ -84,17 +84,11 @@ def difference(paired: PairedEnsembles, feature: int) -> DifferenceCurve:
 
     The variance comes from applying the little-bags formula directly to the
     per-bag differences, which equals Var(mimic) + Var(outcome) minus twice
-    their covariance and is non-negative by construction; a floor guards
-    against float rounding only.
+    their covariance. A bin is significant when its band excludes zero.
     """
-    diffs = paired.mimic.shape_tensor(feature) - paired.outcome.shape_tensor(feature)
-    mean = diffs.mean(axis=(0, 1))
-    var = np.maximum(little_bags_variance(diffs), 0.0)
-    half = Z_95 * np.sqrt(var)
-    lower = mean - half
-    upper = mean + half
-    significant = (lower > 0.0) | (upper < 0.0)
-    return DifferenceCurve(paired.schema.names[feature], mean, var, lower, upper, significant)
+    band = _band(paired.mimic.shape_tensor(feature) - paired.outcome.shape_tensor(feature))
+    _, _, lower, upper = band
+    return DifferenceCurve(paired.schema.names[feature], *band, (lower > 0.0) | (upper < 0.0))
 
 
 @dataclass

@@ -611,10 +611,9 @@ class BinnedMatrix:
             return BinnedMatrix(self.codes.T.take(rows, axis=1).T, self.schema)
         return BinnedMatrix(self.codes[np.asarray(rows)], self.schema)
 
-    def bin_mass(self, feature: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Fraction of rows per bin, over all rows or a subset."""
-        col = self.column(feature) if rows is None else self.codes[np.asarray(rows), feature]
-        counts = np.bincount(col, minlength=self.schema.n_bins(feature)).astype(float)
+    def bin_mass(self, feature: int) -> np.ndarray:
+        """Fraction of rows per bin."""
+        counts = np.bincount(self.column(feature), minlength=self.schema.n_bins(feature)).astype(float)
         return counts / counts.sum()
 
 

@@ -291,9 +291,12 @@ class TaskPool:
     in-process and at once with ``jobs=1`` (an error raises from ``submit``),
     else on ``jobs`` processes that receive ``shared`` once, through the pool
     initializer. ``fn`` must be a module-level function, so that it pickles.
-    Leaving the ``with`` block cancels the calls not yet started."""
+    Leaving the ``with`` block cancels the calls not yet started. ``jobs``
+    below 1 is a :class:`ConfigError`."""
 
     def __init__(self, shared, jobs: int) -> None:
+        if jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {jobs}")
         self.shared = shared
         self._pool = None
         if jobs > 1:

@@ -45,6 +45,7 @@ from .stats import average_ranks
 MIN_PAIRS = 30
 EVIDENCE_MARGIN = 0.01
 DEFAULT_RESAMPLES = 1000
+MIN_RESAMPLES = 100
 
 
 @dataclass
@@ -364,8 +365,8 @@ def correlation_test(
         raise DataError("error series contain non-finite values")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateStatisticsError("an error series is constant; correlation undefined")
-    if resamples < 100:
-        raise DataError("resamples must be at least 100")
+    if resamples < MIN_RESAMPLES:
+        raise DataError(f"resamples must be at least {MIN_RESAMPLES}")
 
     ranked = _ranked(a, b, _block(n))
     pr, sr, kt = _point_estimates(a, b, ranked)

@@ -54,26 +54,15 @@ def _safe_name(index: int, name: str) -> str:
 
 
 def write_curve_csv(path: str | Path, fc: FeatureComparison) -> None:
-    rows = [
-        "bin,mass,mimic_mean,mimic_lower,mimic_upper,"
-        "outcome_mean,outcome_lower,outcome_upper,diff_mean,diff_lower,diff_upper,significant"
+    columns = [("mass", fc.bin_mass)] + [
+        (f"{tag}_{part}", getattr(c, part))
+        for tag, c in (("mimic", fc.mimic), ("outcome", fc.outcome), ("diff", fc.diff))
+        for part in ("mean", "lower", "upper")
     ]
+    rows = [",".join(["bin", *(name for name, _ in columns), "significant"])]
     for b, label in enumerate(fc.bin_labels):
-        cells = [
-            '"' + label.replace('"', '""') + '"',
-            repr(float(fc.bin_mass[b])),
-            repr(float(fc.mimic.mean[b])),
-            repr(float(fc.mimic.lower[b])),
-            repr(float(fc.mimic.upper[b])),
-            repr(float(fc.outcome.mean[b])),
-            repr(float(fc.outcome.lower[b])),
-            repr(float(fc.outcome.upper[b])),
-            repr(float(fc.diff.mean[b])),
-            repr(float(fc.diff.lower[b])),
-            repr(float(fc.diff.upper[b])),
-            str(bool(fc.diff.significant[b])).lower(),
-        ]
-        rows.append(",".join(cells))
+        cells = ['"' + label.replace('"', '""') + '"', *(repr(float(col[b])) for _, col in columns)]
+        rows.append(",".join([*cells, str(bool(fc.diff.significant[b])).lower()]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -95,33 +84,24 @@ def write_calibration_plots(
     plots_dir: str | Path,
     raw: CalibrationDiagnostics,
     applied: CalibrationDiagnostics | None = None,
-) -> list[str]:
+) -> None:
     """Empirical log-odds scatter against raw and (optionally) calibrated scores."""
     plots_dir = Path(plots_dir)
     plots_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    svg.scatter_chart(
-        plots_dir / "calibration_raw.svg",
-        "empirical log odds vs raw score",
-        raw.levels,
-        raw.logit_prob,
-        "raw score",
-        "log odds",
-        line=(raw.logit_slope, raw.logit_intercept),
-    )
-    written.append("calibration_raw.svg")
-    if applied is not None:
-        svg.scatter_chart(
-            plots_dir / "calibration_applied.svg",
-            "empirical log odds vs calibrated score",
-            applied.levels,
-            applied.logit_prob,
-            "calibrated score (log odds)",
-            "log odds",
-            line=(applied.logit_slope, applied.logit_intercept),
-        )
-        written.append("calibration_applied.svg")
-    return written
+    for tag, diag, score, axis in (
+        ("raw", raw, "raw score", "raw score"),
+        ("applied", applied, "calibrated score", "calibrated score (log odds)"),
+    ):
+        if diag is not None:
+            svg.scatter_chart(
+                plots_dir / f"calibration_{tag}.svg",
+                f"empirical log odds vs {score}",
+                diag.levels,
+                diag.logit_prob,
+                axis,
+                "log odds",
+                line=(diag.logit_slope, diag.logit_intercept),
+            )
 
 
 def write_comparison_artifacts(out_dir: str | Path, summary: ComparisonSummary) -> dict[str, list[str]]:

@@ -299,7 +299,7 @@ class TestRunAudit:
         load_cfg = da.LoadConfig(max_bins=16)
         train_cfg = da.TrainConfig(learning_rate=0.15, max_rounds=60, n_pairs=1, seed=2)
         result = cli.run_audit(da.load_csv(str(data), load_cfg), tmp_path / "lib", load_cfg, train_cfg,
-                               K=2, L=2, seed=2, jobs=jobs)
+                               K=2, L=2, jobs=jobs)
         assert not (tmp_path / "lib" / "run_meta.json").exists()
         assert tree_bytes(tmp_path / "lib") == tree_bytes(tmp_path / "cli")
 
@@ -318,6 +318,12 @@ class TestRunAudit:
             r["feature"] for r in report["comparison"]["discrepancy_ranking"]
         ]
         assert len(result.final.mimic.models[0][0].surfaces) == 1
+
+    def test_jobs_below_one_is_a_config_error(self, tmp_path):
+        load_cfg = da.LoadConfig(max_bins=8)
+        data, _ = da.gen_partial_use(n_rows=300, seed=0)
+        with pytest.raises(da.ConfigError, match="jobs must be at least 1"):
+            cli.run_audit(data, tmp_path / "lib", load_cfg, da.TrainConfig(max_rounds=5), K=2, L=2, jobs=0)
 
 
 class TestExitCodes:
@@ -366,12 +372,30 @@ class TestExitCodes:
         assert code == 1
         assert "error[calibrate]: [Errno" in capsys.readouterr().err
 
-    def test_unknown_config_section(self, tmp_path):
+    def test_unknown_config_section(self, tmp_path, capsys):
         data = write_kinked(tmp_path, rows=600)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"loda": {"max_bins": 8}}))
         assert run(["calibrate", "--data", str(data), "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "error[config]: unknown config sections: ['loda']" in capsys.readouterr().err
+
+    def test_config_section_not_an_object(self, tmp_path, capsys):
+        data = write_kinked(tmp_path, rows=600)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"load": [8]}))
+        assert run(["calibrate", "--data", str(data), "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "error[config]: config sections load and train must be JSON objects" in capsys.readouterr().err
+
+    def test_seed_in_train_section(self, tmp_path, capsys):
+        data = write_kinked(tmp_path, rows=600)
+        cfg = small_train_config(tmp_path, seed=7)
+        code = run(["audit", "--data", str(data), "--config", str(cfg), "--K", "2", "--L", "2",
+                    "--seed", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_score_column(self, tmp_path, capsys):
         path = tmp_path / "noscore.csv"
@@ -407,6 +431,16 @@ class TestExitCodes:
         code = run(["audit", "--data", str(data), "--jobs", jobs, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_too_few_resamples(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        lines = ["fold,mimic_abs_error,outcome_abs_error"]
+        lines += [f"0,{i / 10},{(i * 7) % 11 / 7}" for i in range(60)]
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["test-missing", "--data", str(path), "--resamples", "50", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "error[config]: --resamples must be at least 100" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
