@@ -29,7 +29,7 @@ def main() -> None:
         print(f"  ({names[ps.i]}, {names[ps.j]})  gain {ps.gain:10.4f}{mark}")
 
     top = [(ranked[0].i, ranked[0].j)]
-    both = da.fit_interactions(mains, Xf, yf, 0, cfg, validation=np.arange(1200), pairs=top)
+    both = da.fit_interactions(mains, Xf, yf, top, cfg, validation=np.arange(1200))
     Xt, yt = X.take(test), ds.score[test]
     rmse_mains = float(np.sqrt(np.mean((mains.predict(Xt) - yt) ** 2)))
     rmse_both = float(np.sqrt(np.mean((both.predict(Xt) - yt) ** 2)))

@@ -203,7 +203,6 @@ def train_linear_bags(
     plan: BagPlan,
     calibration: CalibrationMap | None = None,
     schema: FeatureSchema | None = None,
-    l2: float = 1e-6,
 ) -> LinearBags:
     """One linear mimic and one logistic outcome model per (outer, inner) bag.
 
@@ -222,7 +221,7 @@ def train_linear_bags(
                 rows, _ = bag_split(plan, k, l, labeled)
                 if len(rows) == 0:
                     raise TrainingError(f"bag ({k}, {l}) has no labeled training rows")
-                models[k].append(train_linear(A[rows], targets[rows], link, columns, l2))
+                models[k].append(train_linear(A[rows], targets[rows], link, columns))
         return BagEnsemble(models, link, schema)
 
     mimic = grid(IDENTITY, mimic_targets(data, calibration), None)

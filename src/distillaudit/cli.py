@@ -270,6 +270,8 @@ def run_audit(
     the same names. ``stage``, when given, times each stage and names the
     stage an error is raised in.
     """
+    if jobs < 1:  # before the calibration stage writes anything
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     stage = stage or _Stage()
     out_dir = Path(out_dir)
     decision, diag_raw, cmap = _calibration_stage(data, calibration, out_dir, stage)

@@ -17,7 +17,9 @@ scores were calibrated; uncalibrated runs still report differences, flagged
 as cross-scale.
 
 Fitted feature pairs are reported as the bag means of their mimic, outcome
-and difference grids, with no bands. The means are summed one bag at a time,
+and difference grids, with no bands. The pairs were screened once, on bag
+(0, 0)'s mimic model, and are read back from that model's surfaces; every
+other bag must hold the same pairs. The means are summed one bag at a time,
 so the memory :func:`summarize` needs grows with the grid size, not with
 K x L times it.
 """
@@ -74,9 +76,9 @@ def _band(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return mean, var, mean - half, mean + half
 
 
-def curve(ensemble: BagEnsemble, feature: int, name: str | None = None) -> ContributionCurve:
+def curve(ensemble: BagEnsemble, feature: int) -> ContributionCurve:
     """Ensemble-mean shape of one feature with little-bags 95% bounds."""
-    return ContributionCurve(name or ensemble.schema.names[feature], *_band(ensemble.shape_tensor(feature)))
+    return ContributionCurve(ensemble.schema.names[feature], *_band(ensemble.shape_tensor(feature)))
 
 
 def difference(paired: PairedEnsembles, feature: int) -> DifferenceCurve:
@@ -222,13 +224,12 @@ def summarize(paired: PairedEnsembles) -> ComparisonSummary:
                 discrepancy=discrepancy_score(diff_c, mass),
             )
         )
-    surfaces = []
-    for entry in paired.meta.get("interaction_pairs", []):
-        i, j = entry["i"], entry["j"]
-        names = (schema.names[i], schema.names[j])
-        surfaces.append(SurfaceComparison(i, j, names, *_surface_means(paired, i, j)))
+    surfaces = [
+        SurfaceComparison(s.i, s.j, s.names, *_surface_means(paired, s.i, s.j))
+        for s in paired.mimic.models[0][0].surfaces
+    ]
     ranking = sorted(
         ((fc.feature, fc.discrepancy) for fc in features),
         key=lambda t: (-t[1], t[0]),
     )
-    return ComparisonSummary(features, surfaces, ranking, bool(paired.meta.get("calibrated")))
+    return ComparisonSummary(features, surfaces, ranking, paired.calibration is not None)

@@ -17,6 +17,11 @@ see only labeled rows, as :func:`bag_split` selects them. Every K x L grid,
 the linear baseline's of :mod:`distillaudit.baseline` included, is a
 :class:`BagEnsemble` trained on those bag rows and on :func:`mimic_targets`.
 
+Feature pairs are screened once, on bag (0, 0)'s mimic model, and every
+model of both families fits the same pairs. The fitted models are the only
+record of which pairs those are: :mod:`distillaudit.compare` reads them back
+from the models' surfaces.
+
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
 models through :class:`TaskPool`, which the CLI's post-training stages use
 too. The binned matrix with its schema, the targets, labeled mask, plan and
@@ -33,7 +38,7 @@ loaded. Outcome fits, the slower family, are submitted first.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +221,6 @@ class PairedEnsembles:
     schema: FeatureSchema
     calibration: CalibrationMap | None
     bin_mass: list[np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def save_models(self, directory: str | Path) -> list[str]:
         """Write every model, the bag plan, and the schema as JSON files;
@@ -264,9 +268,8 @@ def _fit_bag(data: _BagData, link: str, k: int, l: int, base: dict | None) -> di
     X = data.X.take(rows)
     y = data.targets[link][rows]
     if base is not None:
-        pairs = data.pairs
         model = AdditiveModel(schema=data.X.schema, **base)
-        model = fit_interactions(model, X, y, len(pairs), data.config, validation=local_valid, pairs=pairs)
+        model = fit_interactions(model, X, y, data.pairs, data.config, validation=local_valid)
     elif link == IDENTITY:
         model = train_regressor(X, y, data.config, validation=local_valid)
     else:
@@ -365,8 +368,7 @@ def train_paired(
     ensemble on labels, over identical bag splits.
 
     Mimic targets come from :func:`mimic_targets`. Only main effects are
-    fitted, whatever ``config.n_pairs`` says; :func:`with_interactions`
-    adds the pairwise grids to the result.
+    fitted; :func:`with_interactions` adds the pairwise grids to the result.
     """
     config = config or TrainConfig()
     plan = plan or plan_bags(data.n_rows, seed=config.seed)
@@ -384,13 +386,7 @@ def train_paired(
     shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
     mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
     ensembles = _fit_grid(shared, jobs)
-    meta = {
-        "calibrated": calibration is not None,
-        "n_rows": data.n_rows,
-        "n_score_only": data.n_score_only,
-        "config": {f: getattr(config, f) for f in TrainConfig.__dataclass_fields__},
-    }
-    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass, meta)
+    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass)
 
 
 def with_interactions(
@@ -402,9 +398,10 @@ def with_interactions(
 ) -> PairedEnsembles:
     """Extend every model of both ensembles with the same top feature pairs.
 
-    Pairs are screened once, on the first bag's mimic model residuals over
-    its training rows, and reused everywhere so that all models remain
-    comparable surface by surface.
+    Pairs are screened once, by :func:`rank_interaction_pairs` on the
+    residuals of bag (0, 0)'s mimic model over its training and validation
+    rows, and reused everywhere so that all models remain comparable surface
+    by surface; every model lists them, in rank order, in its ``surfaces``.
     """
     if n_pairs == 0:
         return paired
@@ -421,10 +418,7 @@ def with_interactions(
     pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
 
     ensembles = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
-    names = paired.schema.names
-    fitted_pairs = [{"i": i, "j": j, "names": [names[i], names[j]]} for i, j in pairs]
-    meta = {**paired.meta, "interaction_pairs": fitted_pairs}
-    return replace(paired, mimic=ensembles[IDENTITY], outcome=ensembles[LOGISTIC], meta=meta)
+    return replace(paired, mimic=ensembles[IDENTITY], outcome=ensembles[LOGISTIC])
 
 
 @dataclass

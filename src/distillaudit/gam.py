@@ -389,16 +389,21 @@ def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate, 
 
 
 def _boost(
-    terms: list[_Term], yt, F_train, yv, F_valid, config: TrainConfig, logistic: bool, train_trace=None
+    terms: list[_Term], y, F, train_rows, valid_rows, config: TrainConfig, logistic: bool, train_trace=None
 ):
-    """Cyclic boosting of ``terms`` from the decisions ``F_train`` of the
-    training rows and ``F_valid`` of the validation rows (None without them).
+    """Cyclic boosting of ``terms`` on the targets ``y`` from the decisions
+    ``F`` of every row, of which ``train_rows`` train and ``valid_rows``
+    validate (None without them).
 
     Returns the values of each term (those of the best round when validation
     improved), the rounds run, the best round and its validation loss (0 and
     inf otherwise), and the per-round validation losses. Each round's
     training loss is appended to ``train_trace`` unless it is None.
     """
+    yt, F_train = y[train_rows], F[train_rows]
+    yv = F_valid = None
+    if valid_rows is not None:
+        yv, F_valid = y[valid_rows], F[valid_rows]
     values = [np.zeros(len(t.counts)) for t in terms]
     active = [False] * len(terms)
     clip = _NEWTON_CLIP if logistic else None
@@ -499,13 +504,9 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
     for j in range(schema.n_features):
         counts = np.bincount(Ct[j], minlength=schema.n_bins(j)).astype(float)
         terms.append(_Term(Ct[j], None if Cv is None else Cv[j], counts, update))
-    yv = F_valid = None
-    if valid_rows is not None:
-        yv = y[valid_rows]
-        F_valid = np.full(len(yv), intercept)
     train_trace: list[float] = []
     shapes, rounds_run, best_round, best_loss, valid_trace = _boost(
-        terms, yt, np.full(len(yt), intercept), yv, F_valid, config, logistic, train_trace
+        terms, y, np.full(X.n_rows, intercept), train_rows, valid_rows, config, logistic, train_trace
     )
 
     if best_round:
@@ -552,15 +553,20 @@ class PairScore:
     gain: float
 
 
-def _coarse_codes(X: BinnedMatrix, rows: np.ndarray, max_cells: int = 16) -> tuple[list[np.ndarray], list[int]]:
+_COARSE_CELLS = 16  # per axis of a screening grid
+
+
+def _coarse_codes(X: BinnedMatrix) -> tuple[list[np.ndarray], list[int]]:
+    """Each feature's codes, coarsened to at most ``_COARSE_CELLS`` bins, and
+    its coarse bin count."""
     codes = []
     sizes = []
     for j in range(X.schema.n_features):
         nb = X.schema.n_bins(j)
-        col = X.codes[rows, j].astype(np.int64)
-        if nb > max_cells:
-            col = (col * max_cells) // nb
-            nb = max_cells
+        col = X.codes[:, j].astype(np.int64)
+        if nb > _COARSE_CELLS:
+            col = (col * _COARSE_CELLS) // nb
+            nb = _COARSE_CELLS
         codes.append(col)
         sizes.append(nb)
     return codes, sizes
@@ -578,7 +584,7 @@ def rank_interaction_pairs(
     rows = np.arange(X.n_rows) if rows is None else np.asarray(rows, int)
     sub = X.take(rows)
     resid = np.asarray(targets, float)[rows] - model.predict(sub)
-    codes, sizes = _coarse_codes(X, rows)
+    codes, sizes = _coarse_codes(sub)
     total = float(resid.sum())
     n_total = len(rows)
     scores = []
@@ -659,44 +665,31 @@ def fit_interactions(
     model: AdditiveModel,
     X: BinnedMatrix,
     targets,
-    n_pairs: int,
+    pairs: list[tuple[int, int]],
     config: TrainConfig | None = None,
     validation=None,
-    pairs: list[tuple[int, int]] | None = None,
 ) -> AdditiveModel:
-    """Add boosted pairwise grids for the top-ranked feature pairs.
+    """Add boosted pairwise grids for exactly the feature ``pairs``, (i, j)
+    with i < j; :func:`rank_interaction_pairs` screens them.
 
     Shapes stay frozen; only the pair grids are boosted, against the same
     loss the model was trained with. Returns a new model; the input model is
-    untouched. Pass ``pairs`` to skip screening and fit exactly those pairs.
+    untouched, and is returned itself when ``pairs`` is empty.
     """
+    if not pairs:
+        return model
     config = config or TrainConfig()
-    p = model.schema.n_features
-    max_pairs = p * (p - 1) // 2
-    if pairs is None:
-        if n_pairs == 0:
-            return model
-        if n_pairs > max_pairs:
-            raise ConfigError(f"n_pairs={n_pairs} exceeds the {max_pairs} available pairs")
+    schema = model.schema
+    pairs = [(int(i), int(j)) for i, j in pairs]
+    for i, j in pairs:
+        if not 0 <= i < j < schema.n_features:
+            raise ConfigError(f"bad feature pair ({i}, {j})")
+    if len(set(pairs)) < len(pairs):
+        raise ConfigError("a feature pair is given more than once")
     logistic = model.link == LOGISTIC
     y = _checked_targets(targets, X.n_rows, logistic)
     train_rows, valid_rows = _split_rows(X.n_rows, validation)
 
-    if pairs is None:
-        ranked = rank_interaction_pairs(model, X, y, rows=train_rows)
-        pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
-    else:
-        pairs = [(int(i), int(j)) for i, j in pairs]
-        for i, j in pairs:
-            if not 0 <= i < j < p:
-                raise ConfigError(f"bad feature pair ({i}, {j})")
-        if len(set(pairs)) < len(pairs):
-            raise ConfigError("a feature pair is given more than once")
-    if not pairs:
-        return model
-
-    schema = model.schema
-    decision = model.decision(X)
     Ct = _columns(X.codes, train_rows)
     Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
     terms = []
@@ -707,12 +700,8 @@ def fit_interactions(
         valid = None if Cv is None else Cv[i] * bj + Cv[j]
         margins = None if logistic else _hessian_margins(counts.reshape(bi, bj))
         terms.append(_Term(cell, valid, counts, partial(_rect_update, config.leaves, (bi, bj), margins=margins)))
-    yv = F_valid = None
-    if valid_rows is not None:
-        yv = y[valid_rows]
-        F_valid = decision[valid_rows]
     grids, rounds_run, best_round, best_loss, _ = _boost(
-        terms, y[train_rows], decision[train_rows], yv, F_valid, config, logistic
+        terms, y, model.decision(X), train_rows, valid_rows, config, logistic
     )
 
     intercept = model.intercept

@@ -65,7 +65,6 @@ def gen_partial_use(
     n_features: int = 16,
     n_used: int = 8,
     score_noise: float = 0.25,
-    levels: int | None = None,
 ):
     """Score built from the first ``n_used`` features, outcome from all.
 
@@ -74,26 +73,13 @@ def gen_partial_use(
     only the first ``n_used`` (identical coefficients, so the two model
     families agree on used features up to noise) plus Gaussian noise that
     keeps spurious structure from looking certain.
-
-    With ``levels`` set, features take that many evenly spaced discrete
-    values and thresholds snap to level boundaries, mimicking scorecard
-    inputs such as counts or age bands. A discrete, noiseless instance is
-    exactly additive over bins, so a mimic audit of it can certify unused
-    features rather than merely suggest them.
     """
     if not 0 < n_used <= n_features:
         raise ConfigError("n_used must be in [1, n_features]")
-    if levels is not None and levels < 2:
-        raise ConfigError("levels must be at least 2")
     rng = np.random.default_rng(seed)
     names = [f"x{i:02d}" for i in range(n_features)]
     cols = {name: rng.random(n_rows) for name in names}
     thresholds = rng.uniform(0.3, 0.7, size=n_features)
-    if levels is not None:
-        # Cell midpoints keep values in (0, 1); boundary snap keeps the
-        # exceedance mass equal to 1 - threshold exactly.
-        cols = {name: (np.floor(col * levels) + 0.5) / levels for name, col in cols.items()}
-        thresholds = np.clip(np.round(thresholds * levels), 1, levels - 1) / levels
     amplitudes = rng.uniform(0.6, 1.2, size=n_features) * rng.choice((-1.0, 1.0), size=n_features)
     steps = np.stack(
         [(cols[name] >= thr).astype(float) for name, thr in zip(names, thresholds)]
@@ -108,7 +94,6 @@ def gen_partial_use(
         "thresholds": dict(zip(names, thresholds.tolist())),
         "amplitudes": dict(zip(names, amplitudes.tolist())),
         "score_noise": score_noise,
-        "levels": levels,
     }
     return _dataset(cols, score, outcome), truth
 

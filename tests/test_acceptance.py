@@ -252,8 +252,7 @@ def test_criterion_08_interaction_detection():
         hits += (ranked[0].i, ranked[0].j) == tuple(truth["pair_indices"])
         if seed == 0:
             both = da.fit_interactions(
-                mains, Xf, yf, 0, cfg, validation=np.arange(1200),
-                pairs=[tuple(truth["pair_indices"])],
+                mains, Xf, yf, [tuple(truth["pair_indices"])], cfg, validation=np.arange(1200),
             )
             Xt = X.take(test)
             rmse_mains = float(np.sqrt(np.mean((mains.predict(Xt) - ds.score[test]) ** 2)))

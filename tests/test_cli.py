@@ -324,6 +324,7 @@ class TestRunAudit:
         data, _ = da.gen_partial_use(n_rows=300, seed=0)
         with pytest.raises(da.ConfigError, match="jobs must be at least 1"):
             cli.run_audit(data, tmp_path / "lib", load_cfg, da.TrainConfig(max_rounds=5), K=2, L=2, jobs=0)
+        assert not (tmp_path / "lib").exists()
 
 
 class TestExitCodes:

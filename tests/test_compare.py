@@ -18,6 +18,7 @@ from distillaudit.compare import (
     discrepancy_score,
     little_bags_variance,
 )
+from distillaudit.distill import bag_split, mimic_targets
 
 
 def little_bags_covariance(a, b):
@@ -204,6 +205,19 @@ class TestSurfacesAndSerialization:
         assert np.all(np.isfinite(sc.diff_mean))
         assert sc.mimic_mean.shape == sc.outcome_mean.shape
 
+    def test_surfaces_in_screening_order_and_calibrated_from_the_map(self):
+        ds, _ = da.gen_interaction(n_rows=800, seed=1)
+        plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=1)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=20, seed=1)
+        rows00 = np.concatenate(bag_split(plan, 0, 0), dtype=np.intp)
+        for cmap in (None, da.fit_calibration(ds.score, ds.outcome)):
+            paired = da.train_paired(ds, calibration=cmap, plan=plan, config=config)
+            X = da.bin_dataset(ds, paired.schema)
+            ranked = da.rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets(ds, cmap), rows=rows00)
+            summary = da.summarize(da.with_interactions(paired, ds, 3, config))
+            assert [(sc.i, sc.j) for sc in summary.surfaces] == [(ps.i, ps.j) for ps in ranked[:3]]
+            assert summary.calibrated == (cmap is not None)
+
     def test_json_dict_structure(self):
         data = TestCurvesAndBands.flip_dataset(1200, delta=0.5, seed=5)
         _, summary = trained_summary(data, rounds=100, seed=5)
@@ -274,8 +288,7 @@ class TestSurfaceMeans:
 
     def test_unfitted_pair_is_a_data_error(self):
         paired = pair_fit(2, 2)
-        entry = paired.meta["interaction_pairs"][0]
-        paired.meta["interaction_pairs"] = [{**entry, "j": entry["i"]}]
+        paired.outcome.models[1][0].surfaces = []
         with pytest.raises(da.DataError, match="was not fitted"):
             da.summarize(paired)
 

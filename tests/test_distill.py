@@ -169,7 +169,7 @@ class TestPairedTraining:
 
     def test_score_only_rows_feed_mimic_not_outcome(self):
         data, paired = self.paired(score_only=120)
-        assert paired.meta["n_score_only"] == 120
+        assert data.n_score_only == 120
         rows = np.asarray(paired.plan.train[0][0])
         labeled = rows[np.isfinite(data.outcome[rows])]
         assert len(labeled) < len(rows)
@@ -272,7 +272,7 @@ class TestPairedTraining:
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
         config = da.TrainConfig(learning_rate=0.1, max_rounds=200, seed=0)
         paired = da.train_paired(data, calibration=cmap, plan=plan, config=config)
-        assert paired.meta["calibrated"]
+        assert paired.calibration is cmap
         target = cmap.apply(data.score)
         rows = np.asarray(plan.train[0][0])
         assert paired.mimic.models[0][0].intercept == pytest.approx(
@@ -288,8 +288,17 @@ class TestPairedTraining:
         extended = da.with_interactions(paired, data, 1, config)
         for name in ("plan", "schema", "calibration", "bin_mass"):
             assert getattr(extended, name) is getattr(paired, name)
-        assert extended.meta["calibrated"] and len(extended.meta["interaction_pairs"]) == 1
+        models = [m for ens in (extended.mimic, extended.outcome) for fold in ens.models for m in fold]
+        assert all(len(m.surfaces) == 1 for m in models)
         assert (extended.mimic.link, extended.outcome.link) == (IDENTITY, LOGISTIC)
+
+    def test_too_many_pairs_rejected(self):
+        data = small_dataset()
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        config = da.TrainConfig(max_rounds=5)
+        paired = da.train_paired(data, plan=plan, config=config)
+        with pytest.raises(da.ConfigError, match="exceeds the 1 available pairs"):
+            da.with_interactions(paired, data, 2, config)
 
     def test_plan_row_count_mismatch_rejected(self):
         data = small_dataset()

@@ -256,7 +256,7 @@ class TestModelObject:
         mains, X = self.make_model()
         y = (X.column(0) == X.column(2)) + np.random.default_rng(12).normal(scale=0.1, size=X.n_rows)
         config = da.TrainConfig(learning_rate=0.3, max_rounds=20, split_significance=0.0)
-        model = da.fit_interactions(mains, X, y, 1, config, pairs=[(0, 2)])
+        model = da.fit_interactions(mains, X, y, [(0, 2)], config)
         assert len(model.surfaces) == 1 and np.count_nonzero(model.surfaces[0].values) > 10
         path = tmp_path / "model.json"
         dump_json(path, model.to_json_dict())
@@ -320,6 +320,12 @@ class TestSurfaceStorage:
         assert not surface.values.any()
 
 
+def screened(model, X, y, n, validation=None):
+    """The top ``n`` pairs ranked on ``model``'s residuals over its training rows."""
+    train_rows, _ = _split_rows(X.n_rows, validation)
+    return [(ps.i, ps.j) for ps in da.rank_interaction_pairs(model, X, y, rows=train_rows)[:n]]
+
+
 class TestInteractions:
     def interaction_data(self, seed=0, n=4000):
         ds, truth = da.gen_interaction(n_rows=n, seed=seed)
@@ -340,7 +346,8 @@ class TestInteractions:
         test = np.arange(2, ds.n_rows, 5)
         cfg = da.TrainConfig(learning_rate=0.25, max_rounds=150, patience=20)
         mains = da.train_regressor(X, ds.score, cfg, validation=valid)
-        with_pair = da.fit_interactions(mains, X, ds.score, 1, cfg, validation=valid)
+        pairs = screened(mains, X, ds.score, 1, valid)
+        with_pair = da.fit_interactions(mains, X, ds.score, pairs, cfg, validation=valid)
         Xt = X.take(test)
         rmse_mains = float(np.sqrt(np.mean((mains.predict(Xt) - ds.score[test]) ** 2)))
         rmse_pair = float(np.sqrt(np.mean((with_pair.predict(Xt) - ds.score[test]) ** 2)))
@@ -353,8 +360,8 @@ class TestInteractions:
         cfg = da.TrainConfig(learning_rate=0.3, max_rounds=40)
         mains = da.train_regressor(X, ds.score, cfg)
         before = [h.copy() for h in mains.shapes]
-        assert da.fit_interactions(mains, X, ds.score, 0, cfg) is mains
-        out = da.fit_interactions(mains, X, ds.score, 1, cfg)
+        assert da.fit_interactions(mains, X, ds.score, []) is mains
+        out = da.fit_interactions(mains, X, ds.score, screened(mains, X, ds.score, 1), cfg)
         assert out is not mains
         assert not mains.surfaces
         for h_before, h_after in zip(before, mains.shapes):
@@ -362,18 +369,11 @@ class TestInteractions:
         for h_main, h_out in zip(mains.shapes, out.shapes):
             np.testing.assert_array_equal(h_main, h_out)
 
-    def test_too_many_pairs_rejected(self):
-        ds, X, _ = self.interaction_data(seed=3, n=500)
-        model = da.train_regressor(X, ds.score, da.TrainConfig(max_rounds=5, learning_rate=0.3))
-        with pytest.raises(da.ConfigError):
-            da.fit_interactions(model, X, ds.score, 11, da.TrainConfig(max_rounds=5))
-
     def test_surfaces_centered_and_additive(self):
         ds, X, _ = self.interaction_data(seed=4, n=2000)
         cfg = da.TrainConfig(learning_rate=0.3, max_rounds=60)
-        model = da.fit_interactions(
-            da.train_regressor(X, ds.score, cfg), X, ds.score, 1, cfg
-        )
+        mains = da.train_regressor(X, ds.score, cfg)
+        model = da.fit_interactions(mains, X, ds.score, screened(mains, X, ds.score, 1), cfg)
         surf = model.surfaces[0]
         cell = X.column(surf.i).astype(np.int64) * X.schema.n_bins(surf.j) + X.column(surf.j)
         counts = np.bincount(cell, minlength=surf.values.size)
@@ -389,7 +389,7 @@ class TestInteractions:
         cfg = da.TrainConfig(max_rounds=5, learning_rate=0.3)
         model = da.train_regressor(X, ds.score, cfg)
         with pytest.raises(da.ConfigError):
-            da.fit_interactions(model, X, ds.score, 1, cfg, pairs=[(0, 1), (0, 1)])
+            da.fit_interactions(model, X, ds.score, [(0, 1), (0, 1)], cfg)
 
     def test_targets_checked_like_main_fits(self):
         ds, X, _ = self.interaction_data(seed=3, n=500)
@@ -399,11 +399,11 @@ class TestInteractions:
             model = train(X, bad, cfg)
             bad[7] = np.nan
             with pytest.raises(da.DataError):
-                da.fit_interactions(model, X, bad, 1, cfg, pairs=[(0, 1)])
+                da.fit_interactions(model, X, bad, [(0, 1)], cfg)
         bad = y.copy()
         bad[7] = 2.0
         with pytest.raises(da.DataError):
-            da.fit_interactions(model, X, bad, 1, cfg, pairs=[(0, 1)])
+            da.fit_interactions(model, X, bad, [(0, 1)], cfg)
 
     def test_logistic_interactions_improve_likelihood(self):
         rng = np.random.default_rng(12)
@@ -417,7 +417,7 @@ class TestInteractions:
         valid = np.arange(0, n, 5)
         cfg = da.TrainConfig(learning_rate=0.2, max_rounds=150, patience=15)
         mains = da.train_classifier(X, y, cfg, validation=valid)
-        with_pair = da.fit_interactions(mains, X, y, 1, cfg, validation=valid, pairs=[(0, 1)])
+        with_pair = da.fit_interactions(mains, X, y, [(0, 1)], cfg, validation=valid)
         assert mean_nll(y, with_pair.decision(X)) < mean_nll(y, mains.decision(X)) - 0.01
 
 
@@ -854,7 +854,8 @@ class TestInteractionOracle:
         ]
         configs.append(da.TrainConfig(learning_rate=0.9, max_rounds=300, patience=3, leaves=4, split_significance=0.0))
         for config in configs:
-            model = da.fit_interactions(mains, X, y, 2, config, validation=validation, pairs=pairs)
+            fitted = pairs or screened(mains, X, y, 2, validation)
+            model = da.fit_interactions(mains, X, y, fitted, config, validation=validation)
             want = reference_fit_interactions(mains, X, y, 2, config, validation, pairs)
             assert model_text(model) == model_text(want), config
             assert len(model.surfaces) == 2
