@@ -22,7 +22,7 @@ from .calibrate import CalibrationMap
 from .data import NUMERIC, AuditDataset, FeatureSchema, fit_schema
 from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, fold_fidelity, mimic_targets
 from .errors import DataError, TrainingError
-from .gam import IDENTITY, LOGISTIC
+from .gam import IDENTITY, LOGISTIC, _checked_targets
 from .stats import mean_nll, sigmoid
 
 MAX_IRLS_ITERATIONS = 100
@@ -46,12 +46,9 @@ def design_matrix(data: AuditDataset, schema: FeatureSchema | None = None) -> tu
             blocks.append(filled[:, None])
             columns.append(spec.name)
         else:
-            onehot = np.zeros((data.n_rows, len(spec.categories)))
             lookup = {c: i for i, c in enumerate(spec.categories)}
-            for t, v in enumerate(col):
-                if v is not None and v in lookup:
-                    onehot[t, lookup[v]] = 1.0
-            blocks.append(onehot)
+            codes = np.array([lookup.get(v, -1) for v in col])
+            blocks.append((codes[:, None] == np.arange(len(spec.categories))).astype(float))
             columns.extend(f"{spec.name}={c}" for c in spec.categories)
     return np.hstack(blocks), columns
 
@@ -156,9 +153,9 @@ def train_linear(
     link only when the design is well-conditioned.
     """
     A = np.asarray(A, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if A.ndim != 2 or len(y) != A.shape[0]:
-        raise DataError("design matrix and targets are inconsistent")
+    if A.ndim != 2:
+        raise DataError("design matrix must be two-dimensional")
+    y = _checked_targets(targets, A.shape[0], link == LOGISTIC)
     if l2 < 0.0:
         raise DataError("l2 must be non-negative")
     columns = columns or [f"x{i}" for i in range(A.shape[1])]
@@ -169,8 +166,6 @@ def train_linear(
     if link == IDENTITY:
         w = _ridge(aug, y, l2)
     elif link == LOGISTIC:
-        if not np.all(np.isin(y, (0.0, 1.0))):
-            raise DataError("classification targets must be 0 or 1")
         if np.ptp(y) == 0.0:
             raise TrainingError("classification targets contain a single class")
         w, trace = _irls(aug, y, l2)

@@ -4,7 +4,8 @@ Each subcommand maps onto library calls; failures surface as stage-tagged
 messages on stderr with stable exit codes (2 config, 3 data, 4 training,
 5 degenerate statistics, 1 any other error, such as an output that cannot
 be written). A missing, unreadable or non-UTF-8 input is a data error, or a
-config error for ``--config``.
+config error for ``--config``. The config file and the flags are checked in
+the ``config`` stage, before any file is read or written.
 
 The audit itself is :func:`run_audit`, shared by the ``audit`` subcommand,
 the demos and library code (the package root does not import this module).
@@ -33,7 +34,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import decide_calibration, diagnose, fit_calibration
-from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, load_json
+from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, open_text
 from .distill import (
     FidelityMetrics,
     PairedEnsembles,
@@ -128,16 +129,11 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
     the only keys it may hold; each is optional."""
     if path is None:
         return {}, {}
-    try:
-        d = load_json(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {path} ({exc.reason} at byte {exc.start})") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with open_text(path, "config file", ConfigError) as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError("config file must contain a JSON object")
     extra = set(d) - {"load", "train"}
@@ -162,7 +158,7 @@ def _load_dataset(args, stage: _Stage):
         load_dict["outcome_column"] = args.outcome_col
     load_cfg = LoadConfig.from_dict(load_dict)
     train_dict["seed"] = args.seed
-    if getattr(args, "pairs", None):
+    if getattr(args, "pairs", None) is not None:
         train_dict["n_pairs"] = args.pairs
     train_cfg = TrainConfig.from_dict(train_dict)
     stage.at("load")
@@ -404,8 +400,7 @@ def cmd_gen_synthetic(args, stage: _Stage) -> int:
         kwargs["hidden"] = False
     data, truth = gen(**kwargs)
     out = Path(args.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     data.to_csv(out)
     if args.truth_out:
         dump_json(args.truth_out, truth)
@@ -455,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--calibration", choices=("auto", "on", "off"), default="auto")
     p_audit.add_argument("--K", type=int, default=5, help="outer folds")
     p_audit.add_argument("--L", type=int, default=5, help="inner bags per fold")
-    p_audit.add_argument("--pairs", type=int, default=0, help="pairwise grids to fit")
+    p_audit.add_argument("--pairs", type=int, default=None, help="pairwise grids to fit (default: train.n_pairs or 0)")
     p_audit.add_argument("--jobs", type=int, default=1, help="parallel training processes")
     p_audit.set_defaults(func=cmd_audit)
 

@@ -16,6 +16,10 @@ and outcome models comparable:
 
 Schema fitting and binning are pure functions of their inputs; the
 resulting objects are immutable and safe to share across threads.
+
+The sections of a ``--config`` file fill :class:`LoadConfig` and
+:class:`~distillaudit.gam.TrainConfig` through :meth:`JsonConfig.from_dict`,
+the one check of their keys and value types.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from itertools import islice
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import AuditError, ConfigError, DataError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -173,26 +179,59 @@ def load_json(path: str | Path):
 
 
 @contextmanager
-def open_text(path: str | Path, what: str):
-    """``path`` opened as UTF-8 text for :mod:`csv`. A file that is missing,
-    cannot be opened (a directory, say) or does not decode raises
-    :class:`DataError` naming it as ``what``."""
+def open_text(path: str | Path, what: str, error: type[AuditError] = DataError):
+    """``path`` opened as UTF-8 text for :mod:`csv` or :mod:`json`. A file
+    that is missing, cannot be opened (a directory, say) or does not decode
+    raises ``error`` naming it as ``what``."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError as exc:
-        raise DataError(f"{what} not found: {path}") from exc
+        raise error(f"{what} not found: {path}") from exc
     except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from exc
     with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise DataError(f"{what} is not UTF-8 text: {path} ({exc.reason} at byte {exc.start})") from None
+            raise error(f"{what} is not UTF-8 text: {path} ({exc.reason} at byte {exc.start})") from None
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's type: any finite number for
+    a float, an array for a tuple, and no ``true`` or ``false`` for a number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, origin or hint)
+
+
+class JsonConfig:
+    """A frozen dataclass that the ``section`` of a ``--config`` file fills."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The config of the JSON object ``d``, whose keys must name fields and
+        hold their annotated types; a :class:`ConfigError` names a key that fails."""
+        fields, hints = cls.__dataclass_fields__, get_type_hints(cls)
+        for key, value in d.items():
+            if key not in fields:
+                raise ConfigError(f"unknown {cls.section} config key {key!r}")
+            if not _fits(value, hints[key]):
+                raise ConfigError(f"{key} must be of type {fields[key].type}, got {json.dumps(value, default=repr)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)
-class LoadConfig:
-    """How to read a delimited text file into an :class:`AuditDataset`."""
+class LoadConfig(JsonConfig):
+    """How to read a delimited text file into an :class:`AuditDataset`, and how finely to bin it."""
+
+    section = "load"
 
     score_column: str = "score"
     outcome_column: str = "outcome"
@@ -202,21 +241,17 @@ class LoadConfig:
     missing_markers: tuple[str, ...] = _DEFAULT_MISSING_MARKERS
     max_bins: int = 256
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LoadConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "feature_columns" in kwargs and kwargs["feature_columns"] is not None:
-            kwargs["feature_columns"] = tuple(kwargs["feature_columns"])
-        if "missing_markers" in kwargs:
-            kwargs["missing_markers"] = tuple(str(m).lower() for m in kwargs["missing_markers"])
-        cfg = cls(**kwargs)
-        for name, kind in cfg.feature_types.items():
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "missing_markers", tuple(m.lower() for m in self.missing_markers))
+        for name, kind in self.feature_types.items():
             if kind not in (NUMERIC, CATEGORICAL):
                 raise ConfigError(f"feature type for {name!r} must be numeric or categorical, got {kind!r}")
-        return cfg
+        _check_max_bins(self.max_bins)
+
+
+def _check_max_bins(max_bins: int) -> None:
+    if max_bins < 2:
+        raise ConfigError("max_bins must be at least 2")
 
 
 @dataclass
@@ -271,12 +306,6 @@ class AuditDataset:
     @property
     def n_score_only(self) -> int:
         return int(np.sum(~self.has_outcome))
-
-    def kind_of(self, name: str) -> str:
-        try:
-            return self.feature_kinds[self.feature_names.index(name)]
-        except ValueError as exc:
-            raise DataError(f"unknown feature {name!r}") from exc
 
     @classmethod
     def from_arrays(
@@ -566,8 +595,7 @@ def fit_schema(data: AuditDataset, max_bins: int = 256) -> FeatureSchema:
     identical schemas. Features with fewer distinct values than ``max_bins``
     get one bin per distinct value.
     """
-    if max_bins < 2:
-        raise ConfigError("max_bins must be at least 2")
+    _check_max_bins(max_bins)
     specs = []
     for name, kind in zip(data.feature_names, data.feature_kinds):
         col = data.columns[name]
@@ -628,12 +656,12 @@ def bin_dataset(data: AuditDataset, schema: FeatureSchema) -> BinnedMatrix:
         if extra:
             raise DataError(f"features absent from schema: {sorted(extra)}")
         raise DataError(f"schema features absent from data: {sorted(set(schema.names) - set(data.feature_names))}")
-    t = data.n_rows
-    codes = np.zeros((t, schema.n_features), dtype=np.int32)
+    kinds = dict(zip(data.feature_names, data.feature_kinds))
+    codes = np.zeros((data.n_rows, schema.n_features), dtype=np.int32)
     for j, spec in enumerate(schema.specs):
         col = data.columns[spec.name]
         if spec.kind == NUMERIC:
-            if data.kind_of(spec.name) != NUMERIC:
+            if kinds[spec.name] != NUMERIC:
                 raise DataError(f"feature {spec.name!r} kind differs between data and schema")
             missing = np.isnan(col)
             c = np.searchsorted(np.asarray(spec.edges), col, side="right")

@@ -63,15 +63,10 @@ VALID_FRACTION = 0.15
 MIN_ROWS = 20
 
 
-def _index_dtype(n_rows: int) -> type:
-    """Dtype of a plan's row indices: int32 while ``n_rows`` fits, else intp."""
-    return np.int32 if n_rows <= np.iinfo(np.int32).max else np.intp
-
-
 @dataclass(frozen=True, eq=False)
 class BagPlan:
-    """Row indices (of :func:`_index_dtype`) for every (outer, inner) bag,
-    fixed by (n_rows, K, L, seed)."""
+    """Row indices (int32) for every (outer, inner) bag, fixed by (n_rows,
+    K, L, seed)."""
 
     n_rows: int
     K: int
@@ -95,15 +90,14 @@ class BagPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BagPlan":
-        dtype = _index_dtype(int(d["n_rows"]))
         return cls(
             int(d["n_rows"]),
             int(d["K"]),
             int(d["L"]),
             int(d["seed"]),
-            tuple(np.asarray(t, dtype) for t in d["test"]),
-            tuple(tuple(np.asarray(b, dtype) for b in fold) for fold in d["train"]),
-            tuple(tuple(np.asarray(b, dtype) for b in fold) for fold in d["valid"]),
+            tuple(np.asarray(t, np.int32) for t in d["test"]),
+            tuple(tuple(np.asarray(b, np.int32) for b in fold) for fold in d["train"]),
+            tuple(tuple(np.asarray(b, np.int32) for b in fold) for fold in d["valid"]),
         )
 
 
@@ -117,21 +111,20 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
     """
     if K < 2 or L < 2:
         raise ConfigError("K and L must both be at least 2")
-    if n_rows < MIN_ROWS:
-        raise DataError(f"need at least {MIN_ROWS} rows to split into bags, got {n_rows}")
+    if not MIN_ROWS <= n_rows < 2**31:  # row indices are int32
+        raise DataError(f"need {MIN_ROWS} to {2**31 - 1} rows to split into bags, got {n_rows}")
     n_test = round(TEST_FRACTION * n_rows)
     n_valid = round(VALID_FRACTION * n_rows)
     n_train = n_rows - n_test - n_valid
     if n_test < 1 or n_valid < 1 or n_train < 1:
         raise DataError("bag fractions leave an empty split")
-    dtype = _index_dtype(n_rows)
     rng = np.random.default_rng(seed)
     tests = []
     trains = []
     valids = []
     for _ in range(K):
-        test = np.sort(rng.choice(n_rows, size=n_test, replace=False)).astype(dtype)
-        rest = np.setdiff1d(np.arange(n_rows, dtype=dtype), test, assume_unique=True)
+        test = np.sort(rng.choice(n_rows, size=n_test, replace=False)).astype(np.int32)
+        rest = np.setdiff1d(np.arange(n_rows, dtype=np.int32), test, assume_unique=True)
         fold_train = []
         fold_valid = []
         for _ in range(L):

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import BinnedMatrix, FeatureSchema
+from .data import BinnedMatrix, FeatureSchema, JsonConfig
 from .errors import ConfigError, DataError, TrainingError
 from .stats import mean_nll, sigmoid
 
@@ -57,7 +57,7 @@ _NEWTON_CLIP = 10.0
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Hyperparameters for boosted additive model training.
 
     ``split_significance`` is an entry gate on tree growth: a feature (or
@@ -74,6 +74,8 @@ class TrainConfig:
     Set 0 to disable.
     """
 
+    section = "train"
+
     learning_rate: float = 0.01
     max_rounds: int = 5000
     leaves: int = 3
@@ -84,28 +86,17 @@ class TrainConfig:
     split_significance: float = 40.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError("learning_rate must be in (0, 1]")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be at least 1")
-        if self.leaves < 2:
-            raise ConfigError("leaves must be at least 2")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if self.n_pairs < 0:
-            raise ConfigError("n_pairs must be non-negative")
-        if self.min_improvement < 0.0:
-            raise ConfigError("min_improvement must be non-negative")
-        if self.split_significance < 0.0:
-            raise ConfigError("split_significance must be non-negative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**d)
+        for ok, rule in (
+            (0.0 < self.learning_rate <= 1.0, "learning_rate must be in (0, 1]"),
+            (self.max_rounds >= 1, "max_rounds must be at least 1"),
+            (self.leaves >= 2, "leaves must be at least 2"),
+            (self.patience >= 1, "patience must be at least 1"),
+            (self.n_pairs >= 0, "n_pairs must be non-negative"),
+            (self.min_improvement >= 0.0, "min_improvement must be non-negative"),
+            (self.split_significance >= 0.0, "split_significance must be non-negative"),
+        ):
+            if not ok:
+                raise ConfigError(rule)
 
 
 class InteractionSurface:
@@ -330,7 +321,7 @@ def _checked_targets(targets, n_rows: int, logistic: bool) -> np.ndarray:
     """Targets as floats: one per row, finite, and 0 or 1 for a logistic fit."""
     y = np.asarray(targets, dtype=float)
     if len(y) != n_rows:
-        raise DataError("targets length does not match the binned matrix")
+        raise DataError(f"{len(y)} targets for {n_rows} rows")
     if not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
     if logistic and not np.all(np.isin(y, (0.0, 1.0))):

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import AuditDataset, bin_dataset, open_text
-from .distill import PairedEnsembles, _index_dtype, mimic_targets
+from .distill import PairedEnsembles, mimic_targets
 from .errors import DataError, DegenerateStatisticsError
 from .stats import average_ranks
 
@@ -74,9 +74,7 @@ def load_error_pairs_csv(path: str | Path) -> ErrorPairs:
     """Read pairs written by :meth:`ErrorPairs.to_csv`."""
     with open_text(path, "error-pairs file") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty error-pairs file")
+        header = next(reader, [])
         expected = ["fold", "mimic_abs_error", "outcome_abs_error"]
         if [h.strip() for h in header] != expected:
             raise DataError(f"error-pairs file must have columns {expected}")
@@ -176,7 +174,7 @@ class _Discordance:
     row depends only on the data, so each level stores, once per test, its
     right-half rows ordered by ``y`` (``perm``) and, per left-half row, the
     index in ``perm`` past the right-half rows with a smaller ``y`` (``pos``),
-    both int32 while ``n`` fits.
+    both int32.
     A resample is a column of row counts in :attr:`counts`, summing to at
     most ``n``. Per level, the discordant pairs of every column then take one
     gather, one prefix sum, one gather at ``pos`` and one product with the
@@ -191,7 +189,6 @@ class _Discordance:
     def __init__(self, y: np.ndarray, block: int) -> None:
         n = len(y)
         padded_y = np.append(y, n)  # row n holds zero counts and pads short right halves
-        index = _index_dtype(n)  # every index is at most n
         self.levels = []
         w = 1
         while w < n:
@@ -202,7 +199,7 @@ class _Discordance:
             # One search serves all blocks once each block's ids are offset past the last.
             offset = np.arange(nb)[:, None] * (n + 1)
             pos = np.searchsorted((padded_y[right] + offset).ravel(), (y[left] + offset).ravel())
-            self.levels.append((right.ravel().astype(index), pos.astype(index)))
+            self.levels.append((right.ravel().astype(np.int32), pos.astype(np.int32)))
             w *= 2
         lane = np.min_scalar_type(n)
         per_word = 8 // lane.itemsize

@@ -199,6 +199,18 @@ class TestAudit:
         assert len(report["comparison"]["surfaces"]) == 1
         assert any("surface" in p for p in report["artifacts"]["plots"])
 
+    def test_pairs_zero_overrides_the_config(self, tmp_path):
+        data = tmp_path / "inter.csv"
+        run(["gen-synthetic", "--kind", "interaction", "--rows", "800", "--out", str(data)])
+        cfg = small_train_config(tmp_path, n_pairs=1)
+        out = tmp_path / "out"
+        assert run(["audit", "--data", str(data), "--config", str(cfg), "--K", "2",
+                    "--L", "2", "--pairs", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["run"]["config"]["train"]["n_pairs"] == 0
+        assert report["comparison"]["surfaces"] == []
+        assert not any("surface" in p for p in report["artifacts"]["plots"])
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         data = tmp_path / "data.csv"
         run(["gen-synthetic", "--kind", "kinked-score", "--rows", "700", "--out", str(data)])
@@ -396,6 +408,27 @@ class TestExitCodes:
                     "--seed", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "error[config]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("load", "feature_types", ["x1"]),
+        ("load", "max_bins", "64"),
+        ("load", "max_bins", 64.5),
+        ("load", "max_bins", 1),
+        ("train", "learning_rate", "0.1"),
+        ("load", "missing_markers", 5),
+        ("load", "feature_columns", "x1"),
+        ("train", "max_rounds", 2.5),
+        ("train", "n_pairs", True),
+    ])
+    def test_wrong_config_value(self, tmp_path, capsys, section, key, value):
+        data = write_kinked(tmp_path, rows=600)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = run(["audit", "--data", str(data), "--config", str(cfg), "--K", "2", "--L", "2",
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error[config]: {key} must be ")
         assert not (tmp_path / "o").exists()
 
     def test_missing_score_column(self, tmp_path, capsys):

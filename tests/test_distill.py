@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import distillaudit as da
-from distillaudit import distill
 from distillaudit.cli import EXIT_TRAINING, main
 from distillaudit.data import dump_json, load_json
 from distillaudit.gam import IDENTITY, LOGISTIC
@@ -131,9 +130,16 @@ class TestBagPlan:
             arrays = [*p.test, *(a for fold in p.train + p.valid for a in fold)]
             assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
-    def test_index_dtype_widens_past_int32(self):
-        assert distill._index_dtype(2**31 - 1) is np.int32
-        assert distill._index_dtype(2**31) is np.intp
+    def test_refuses_rows_past_int32(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew bags")
+
+        # the bags of 2**31 rows would take gigabytes; the check must come before any draw
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(da.DataError, match="rows to split into bags, got 2147483648"):
+            da.plan_bags(2**31, K=2, L=2)
+        with pytest.raises(AssertionError, match="drew bags"):
+            da.plan_bags(2**31 - 1, K=2, L=2)
 
 
 class TestPairedTraining:
