@@ -5,7 +5,9 @@ messages on stderr with stable exit codes (2 config, 3 data, 4 training,
 5 degenerate statistics, 1 any other error, such as an output that cannot
 be written). A missing, unreadable or non-UTF-8 input is a data error, or a
 config error for ``--config``. The config file and the flags are checked in
-the ``config`` stage, before any file is read or written.
+the ``config`` stage, before any file is read or written; the rules that
+need the table (its row count, and ``--pairs`` against its feature pairs)
+stop the ``load`` stage, before the audit writes a file.
 
 The audit itself is :func:`run_audit`, shared by the ``audit`` subcommand,
 the demos and library code (the package root does not import this module).
@@ -39,6 +41,9 @@ from .distill import (
     FidelityMetrics,
     PairedEnsembles,
     TaskPool,
+    check_bag_grid,
+    check_jobs,
+    check_pair_count,
     fidelity,
     plan_bags,
     train_paired,
@@ -147,8 +152,9 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
 
 def _load_dataset(args, stage: _Stage):
     stage.at("config")
-    if getattr(args, "jobs", 1) < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command == "audit":
+        check_jobs(args.jobs)
+        check_bag_grid(args.K, args.L)
     load_dict, train_dict = _read_config_file(args.config)
     if "seed" in train_dict:
         raise ConfigError("the train section takes no seed; --seed sets it")
@@ -171,9 +177,7 @@ def _calibration_stage(data, mode: str, out_dir: Path, stage: _Stage):
     stage.at("calibrate")
     diag_raw = diagnose(data.score, data.outcome)
     decision = decide_calibration(diag_raw, mode)
-    cmap = None
-    diag_applied = None
-    warning = None
+    cmap = diag_applied = warning = None
     if decision["applied"]:
         cmap = fit_calibration(data.score, data.outcome)
         diag_applied = diagnose(cmap.apply(data.score), data.outcome)
@@ -264,17 +268,18 @@ def run_audit(
     echoes; ``train_config.seed`` seeds the bag plan and the missing-feature
     bootstrap. ``calibration``, ``K``, ``L`` and ``jobs`` are the flags of
     the same names. ``stage``, when given, times each stage and names the
-    stage an error is raised in.
+    stage an error is raised in. The run-shape rules (``jobs``, ``K`` and
+    ``L``, the row count and ``n_pairs``) raise before ``out_dir`` is made.
     """
-    if jobs < 1:  # before the calibration stage writes anything
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
+    plan = plan_bags(data.n_rows, K=K, L=L, seed=train_config.seed)
+    check_pair_count(train_config.n_pairs, data.n_features)
     stage = stage or _Stage()
     out_dir = Path(out_dir)
     decision, diag_raw, cmap = _calibration_stage(data, calibration, out_dir, stage)
 
     stage.at("plan")
     schema = fit_schema(data, load_config.max_bins)
-    plan = plan_bags(data.n_rows, K=K, L=L, seed=train_config.seed)
 
     stage.at("train")
     paired = train_paired(data, cmap, plan, train_config, schema, jobs=jobs)

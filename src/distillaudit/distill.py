@@ -77,28 +77,32 @@ class BagPlan:
     valid: tuple[tuple[np.ndarray, ...], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "n_rows": self.n_rows,
-            "K": self.K,
-            "L": self.L,
-            "seed": self.seed,
-            "test": self.test,
-            "train": self.train,
-            "valid": self.valid,
-        }
+        return {"format_version": 1, **vars(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BagPlan":
-        return cls(
-            int(d["n_rows"]),
-            int(d["K"]),
-            int(d["L"]),
-            int(d["seed"]),
-            tuple(np.asarray(t, np.int32) for t in d["test"]),
-            tuple(tuple(np.asarray(b, np.int32) for b in fold) for fold in d["train"]),
-            tuple(tuple(np.asarray(b, np.int32) for b in fold) for fold in d["valid"]),
-        )
+        def rows(arrays):
+            return tuple(np.asarray(a, np.int32) for a in arrays)
+
+        sizes = (int(d[key]) for key in ("n_rows", "K", "L", "seed"))
+        return cls(*sizes, rows(d["test"]), tuple(map(rows, d["train"])), tuple(map(rows, d["valid"])))
+
+
+# The run-shape rules; cli.run_audit applies them all before it writes a file.
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+
+
+def check_bag_grid(K: int, L: int) -> None:
+    if K < 2 or L < 2:
+        raise ConfigError("K and L must both be at least 2")
+
+
+def check_pair_count(n_pairs: int, n_features: int) -> None:
+    available = n_features * (n_features - 1) // 2
+    if n_pairs > available:
+        raise ConfigError(f"n_pairs={n_pairs} exceeds the {available} available pairs")
 
 
 def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
@@ -109,8 +113,7 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
     across folds; within a fold, test, train, and validation are disjoint).
     All index arrays come back sorted.
     """
-    if K < 2 or L < 2:
-        raise ConfigError("K and L must both be at least 2")
+    check_bag_grid(K, L)
     if not MIN_ROWS <= n_rows < 2**31:  # row indices are int32
         raise DataError(f"need {MIN_ROWS} to {2**31 - 1} rows to split into bags, got {n_rows}")
     n_test = round(TEST_FRACTION * n_rows)
@@ -291,8 +294,7 @@ class TaskPool:
     below 1 is a :class:`ConfigError`."""
 
     def __init__(self, shared, jobs: int) -> None:
-        if jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {jobs}")
+        check_jobs(jobs)
         self.shared = shared
         self._pool = None
         if jobs > 1:
@@ -398,15 +400,11 @@ def with_interactions(
     """
     if n_pairs == 0:
         return paired
+    check_pair_count(n_pairs, paired.schema.n_features)
     config = config or TrainConfig()
-    plan = paired.plan
     X = bin_dataset(data, paired.schema)
-    shared = _bag_data(data, X, paired.calibration, plan, config)
-
-    p = paired.schema.n_features
-    if n_pairs > p * (p - 1) // 2:
-        raise ConfigError(f"n_pairs={n_pairs} exceeds the {p * (p - 1) // 2} available pairs")
-    rows00 = np.concatenate(bag_split(plan, 0, 0), dtype=np.intp)
+    shared = _bag_data(data, X, paired.calibration, paired.plan, config)
+    rows00 = np.concatenate(bag_split(paired.plan, 0, 0), dtype=np.intp)
     ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=rows00)
     pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
 

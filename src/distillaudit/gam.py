@@ -270,14 +270,12 @@ def _best_tree(
     return bounds
 
 
-def _leaf_values(sum_g: np.ndarray, denom: np.ndarray, bounds: list[int], clip: float | None) -> np.ndarray:
-    vals = np.zeros(len(sum_g))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        d = float(denom[lo:hi].sum())
-        if d > _MIN_HESSIAN:
-            v = float(sum_g[lo:hi].sum()) / d
-            vals[lo:hi] = v if clip is None else min(max(v, -clip), clip)
-    return vals
+def _leaf_value(g: float, d: float, clip: float | None) -> float:
+    """A leaf's step from its gradient and Hessian sums: g / d, clipped to
+    +-``clip`` when given, and 0 where ``d`` is too small to divide by."""
+    if d <= _MIN_HESSIAN:
+        return 0.0
+    return g / d if clip is None else min(max(g / d, -clip), clip)
 
 
 def _split_rows(n_rows: int, validation) -> tuple[np.ndarray, np.ndarray | None]:
@@ -295,6 +293,14 @@ def _split_rows(n_rows: int, validation) -> tuple[np.ndarray, np.ndarray | None]
     if len(train_rows) == 0:
         raise TrainingError("validation rows cover the whole dataset; nothing left to train on")
     return train_rows, valid_rows
+
+
+def _fit_rows(X: BinnedMatrix, targets, validation, logistic: bool):
+    """A fit's checked targets, training and validation rows, and their :func:`_columns`."""
+    y = _checked_targets(targets, X.n_rows, logistic)
+    train_rows, valid_rows = _split_rows(X.n_rows, validation)
+    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
+    return y, train_rows, valid_rows, _columns(X.codes, train_rows), Cv
 
 
 def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
@@ -347,7 +353,12 @@ def _segment_update(leaves: int, sum_g, denom, clip, gate):
     """A feature's visit: leaf values of its segment tree, or None. Each split
     of an inactive feature's tree must gain more than ``gate``."""
     bounds = _best_tree(sum_g, denom, leaves, _MIN_GAIN if gate is None else max(_MIN_GAIN, gate))
-    return None if len(bounds) == 2 else _leaf_values(sum_g, denom, bounds, clip)
+    if len(bounds) == 2:
+        return None
+    vals = np.zeros(len(sum_g))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        vals[lo:hi] = _leaf_value(float(sum_g[lo:hi].sum()), float(denom[lo:hi].sum()), clip)
+    return vals
 
 
 def _hessian_margins(DN: np.ndarray):
@@ -373,9 +384,7 @@ def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate, 
         return None
     V = np.zeros(shape)
     for (r0, r1, c0, c1), (g, d) in zip(rects, sums):
-        if d > _MIN_HESSIAN:
-            v = g / d
-            V[r0:r1, c0:c1] = v if clip is None else min(max(v, -clip), clip)
+        V[r0:r1, c0:c1] = _leaf_value(g, d, clip)
     return V.ravel()
 
 
@@ -470,9 +479,7 @@ def _boost(
 
 def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str) -> AdditiveModel:
     logistic = link == LOGISTIC
-    y = _checked_targets(targets, X.n_rows, logistic)
-    train_rows, valid_rows = _split_rows(X.n_rows, validation)
-
+    y, train_rows, valid_rows, Ct, Cv = _fit_rows(X, targets, validation, logistic)
     schema = X.schema
     yt = y[train_rows]
     metadata: dict = {"link": link, "n_train": len(train_rows)}
@@ -488,8 +495,6 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
             shapes = [np.zeros(schema.n_bins(j)) for j in range(schema.n_features)]
             return AdditiveModel(intercept, link, schema, shapes, [], metadata)
 
-    Ct = _columns(X.codes, train_rows)
-    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
     update = partial(_segment_update, config.leaves)
     terms = []
     for j in range(schema.n_features):
@@ -501,12 +506,9 @@ def _train(X: BinnedMatrix, targets, config: TrainConfig, validation, link: str)
     )
 
     if best_round:
-        metadata["best_round"] = best_round
-        metadata["valid_loss"] = best_loss
-        metadata["valid_loss_trace"] = valid_trace
-    metadata["rounds_run"] = rounds_run
-    metadata["stopped_early"] = valid_rows is not None and rounds_run < config.max_rounds
-    metadata["train_loss_trace"] = train_trace
+        metadata.update(best_round=best_round, valid_loss=best_loss, valid_loss_trace=valid_trace)
+    stopped_early = valid_rows is not None and rounds_run < config.max_rounds
+    metadata.update(rounds_run=rounds_run, stopped_early=stopped_early, train_loss_trace=train_trace)
 
     intercept += _center_shapes(shapes, [t.counts for t in terms])
     return AdditiveModel(intercept, link, schema, shapes, [], metadata)
@@ -678,11 +680,7 @@ def fit_interactions(
     if len(set(pairs)) < len(pairs):
         raise ConfigError("a feature pair is given more than once")
     logistic = model.link == LOGISTIC
-    y = _checked_targets(targets, X.n_rows, logistic)
-    train_rows, valid_rows = _split_rows(X.n_rows, validation)
-
-    Ct = _columns(X.codes, train_rows)
-    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
+    y, train_rows, valid_rows, Ct, Cv = _fit_rows(X, targets, validation, logistic)
     terms = []
     for i, j in pairs:
         bi, bj = schema.n_bins(i), schema.n_bins(j)
@@ -710,8 +708,7 @@ def fit_interactions(
     metadata["interaction_pairs"] = [[i, j] for i, j in pairs]
     metadata["interaction_rounds_run"] = rounds_run
     if valid_rows is not None:
-        metadata["interaction_best_round"] = best_round
-        metadata["interaction_valid_loss"] = best_loss
+        metadata.update(interaction_best_round=best_round, interaction_valid_loss=best_loss)
     return AdditiveModel(
         intercept,
         model.link,

@@ -331,6 +331,17 @@ class TestRunAudit:
         ]
         assert len(result.final.mimic.models[0][0].surfaces) == 1
 
+    @pytest.mark.parametrize("K, n_pairs, match", [
+        (1, 0, "K and L must both be at least 2"),
+        (2, 11, "n_pairs=11 exceeds the 10 available pairs"),
+    ])
+    def test_run_shape_is_checked_before_any_file(self, tmp_path, K, n_pairs, match):
+        load_cfg = da.LoadConfig(max_bins=8)
+        data, _ = da.gen_interaction(n_rows=300, seed=0)
+        with pytest.raises(da.ConfigError, match=match):
+            cli.run_audit(data, tmp_path / "lib", load_cfg, da.TrainConfig(max_rounds=5, n_pairs=n_pairs), K=K, L=2)
+        assert not (tmp_path / "lib").exists()
+
     def test_jobs_below_one_is_a_config_error(self, tmp_path):
         load_cfg = da.LoadConfig(max_bins=8)
         data, _ = da.gen_partial_use(n_rows=300, seed=0)
@@ -458,6 +469,19 @@ class TestExitCodes:
         code = run(["audit", "--data", str(data), "--K", "1", "--L", "2",
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("rows, flags, code, tag", [
+        (600, ["--K", "1"], EXIT_CONFIG, "config"),
+        (600, ["--L", "1"], EXIT_CONFIG, "config"),
+        (600, ["--pairs", "11"], EXIT_CONFIG, "load"),
+        (19, [], EXIT_DATA, "load"),
+    ])
+    def test_run_shape_stops_before_any_file(self, tmp_path, capsys, rows, flags, code, tag):
+        data = tmp_path / "inter.csv"
+        assert run(["gen-synthetic", "--kind", "interaction", "--rows", str(rows), "--out", str(data)]) == 0
+        assert run(["audit", "--data", str(data), "--out", str(tmp_path / "o"), *flags]) == code
+        assert capsys.readouterr().err.startswith(f"error[{tag}]: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_audit_jobs_below_one(self, tmp_path, capsys, jobs):
