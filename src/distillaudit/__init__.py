@@ -2,7 +2,7 @@
 
 The pipeline distills the score into a transparent additive model, trains a
 matching model on ground-truth outcomes over the same data splits, and
-compares the two: per-feature contribution curves with bootstrap confidence
+compares the two: per-feature contribution curves with little-bags confidence
 bands, a calibration map when the score is not already on the log-odds
 scale, and a correlation test for score inputs missing from the audit data.
 """

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibrate import CalibrationMap
 from .data import NUMERIC, AuditDataset, FeatureSchema, fit_schema
-from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, fold_fidelity, mimic_targets
+from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, check_bags, fold_fidelity, mimic_targets
 from .errors import DataError, TrainingError
 from .gam import IDENTITY, LOGISTIC, _checked_targets
 from .stats import mean_nll, sigmoid
@@ -205,19 +205,16 @@ def train_linear_bags(
     validation rows stay unused), against the same targets the additive
     ensembles see.
     """
+    check_bags(plan, data)
     schema = schema or fit_schema(data)
     A, columns = design_matrix(data, schema)
 
     def grid(link: str, targets: np.ndarray, labeled: np.ndarray | None) -> BagEnsemble:
-        models = []
-        for k in range(plan.K):
-            models.append([])
-            for l in range(plan.L):
-                rows, _ = bag_split(plan, k, l, labeled)
-                if len(rows) == 0:
-                    raise TrainingError(f"bag ({k}, {l}) has no labeled training rows")
-                models[k].append(train_linear(A[rows], targets[rows], link, columns))
-        return BagEnsemble(models, link, schema)
+        def fit(k: int, l: int) -> LinearModel:
+            rows, _ = bag_split(plan, k, l, labeled)
+            return train_linear(A[rows], targets[rows], link, columns)
+
+        return BagEnsemble([[fit(k, l) for l in range(plan.L)] for k in range(plan.K)], link, schema)
 
     mimic = grid(IDENTITY, mimic_targets(data, calibration), None)
     return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), A, columns)

@@ -6,8 +6,8 @@ messages on stderr with stable exit codes (2 config, 3 data, 4 training,
 be written). A missing, unreadable or non-UTF-8 input is a data error, or a
 config error for ``--config``. The config file and the flags are checked in
 the ``config`` stage, before any file is read or written; the rules that
-need the table (its row count, and ``--pairs`` against its feature pairs)
-stop the ``load`` stage, before the audit writes a file.
+need the table (row count, bag labels, ``--pairs`` against its feature
+pairs) stop the ``load`` stage, before the audit writes a file.
 
 The audit itself is :func:`run_audit`, shared by the ``audit`` subcommand,
 the demos and library code (the package root does not import this module).
@@ -42,6 +42,7 @@ from .distill import (
     PairedEnsembles,
     TaskPool,
     check_bag_grid,
+    check_bags,
     check_jobs,
     check_pair_count,
     fidelity,
@@ -49,15 +50,9 @@ from .distill import (
     train_paired,
     with_interactions,
 )
-from .errors import (
-    AuditError,
-    ConfigError,
-    DataError,
-    DegenerateStatisticsError,
-    TrainingError,
-)
+from .errors import AuditError, ConfigError, DataError, DegenerateStatisticsError, TrainingError
 from .gam import TrainConfig
-from .missing import MIN_RESAMPLES, correlation_test, error_pairs, load_error_pairs_csv
+from .missing import check_resamples, correlation_test, error_pairs, load_error_pairs_csv
 from .compare import ComparisonSummary, summarize
 from .report import (
     build_report,
@@ -269,10 +264,12 @@ def run_audit(
     bootstrap. ``calibration``, ``K``, ``L`` and ``jobs`` are the flags of
     the same names. ``stage``, when given, times each stage and names the
     stage an error is raised in. The run-shape rules (``jobs``, ``K`` and
-    ``L``, the row count and ``n_pairs``) raise before ``out_dir`` is made.
+    ``L``, the row count and ``n_pairs``) and the bag rules of
+    :func:`~distillaudit.distill.check_bags` raise before ``out_dir`` is made.
     """
     check_jobs(jobs)
     plan = plan_bags(data.n_rows, K=K, L=L, seed=train_config.seed)
+    check_bags(plan, data)
     check_pair_count(train_config.n_pairs, data.n_features)
     stage = stage or _Stage()
     out_dir = Path(out_dir)
@@ -375,8 +372,7 @@ def _models_task(tail: _TailInputs) -> list[str]:
 def cmd_test_missing(args, stage: _Stage) -> int:
     started = time.time()
     stage.at("config")
-    if args.resamples < MIN_RESAMPLES:
-        raise ConfigError(f"--resamples must be at least {MIN_RESAMPLES}, got {args.resamples}")
+    check_resamples(args.resamples)
     stage.at("load")
     pairs = load_error_pairs_csv(args.data)
     stage.at("missing-test")

@@ -7,10 +7,10 @@ means across outer folds:
 
     var_hat = (1/K) * sum_k (mean_l value[k, l] - grand_mean)^2
 
-Pointwise 95% intervals are mean +/- 1.96 * sqrt(var_hat); the estimator
-leans conservative (intervals tend to over-cover), so significance calls
-from these bands are cautious. A per-bin difference is significant when its
-interval excludes zero.
+Pointwise 95% intervals are mean +/- 1.96 * sqrt(var_hat); a bin is flagged
+significant when its difference's interval excludes zero. The bands price
+bag-to-bag variance only, so the flag is no 5% test: 34-97% of the bins of
+features used alike by score and outcome were flagged (ROADMAP item 3).
 
 Mimic and outcome shapes live on a common log-odds scale only when the
 scores were calibrated; uncalibrated runs still report differences, flagged

@@ -599,10 +599,10 @@ def fit_schema(data: AuditDataset, max_bins: int = 256) -> FeatureSchema:
     specs = []
     for name, kind in zip(data.feature_names, data.feature_kinds):
         col = data.columns[name]
+        vals = col[~np.isnan(col)] if kind == NUMERIC else sorted({v for v in col if v is not None})
+        if len(vals) == 0:
+            raise DataError(f"feature {name!r} has zero non-missing values")
         if kind == NUMERIC:
-            vals = col[~np.isnan(col)]
-            if len(vals) == 0:
-                raise DataError(f"feature {name!r} has zero non-missing values")
             distinct = np.unique(vals)
             if len(distinct) <= max_bins:
                 edges = distinct[1:]
@@ -612,10 +612,7 @@ def fit_schema(data: AuditDataset, max_bins: int = 256) -> FeatureSchema:
                 edges = edges[edges > distinct[0]]
             specs.append(FeatureSpec(name, NUMERIC, edges=tuple(float(e) for e in edges)))
         else:
-            observed = sorted({v for v in col if v is not None})
-            if not observed:
-                raise DataError(f"feature {name!r} has zero non-missing values")
-            specs.append(FeatureSpec(name, CATEGORICAL, categories=tuple(observed)))
+            specs.append(FeatureSpec(name, CATEGORICAL, categories=tuple(vals)))
     return FeatureSchema(tuple(specs), max_bins)
 
 

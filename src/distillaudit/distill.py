@@ -88,7 +88,7 @@ class BagPlan:
         return cls(*sizes, rows(d["test"]), tuple(map(rows, d["train"])), tuple(map(rows, d["valid"])))
 
 
-# The run-shape rules; cli.run_audit applies them all before it writes a file.
+# The run-shape and bag rules; cli.run_audit applies them all before it writes a file.
 def check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -103,6 +103,27 @@ def check_pair_count(n_pairs: int, n_features: int) -> None:
     available = n_features * (n_features - 1) // 2
     if n_pairs > available:
         raise ConfigError(f"n_pairs={n_pairs} exceeds the {available} available pairs")
+
+
+def check_plan_rows(plan: BagPlan, n_rows: int) -> None:
+    if plan.n_rows != n_rows:
+        raise DataError("bag plan was made for a different number of rows")
+
+
+def check_bags(plan: BagPlan, data: AuditDataset) -> None:
+    """``plan`` was made for ``data``, which has a labeled row, and every bag
+    has labeled validation rows and labeled training rows of both classes."""
+    check_plan_rows(plan, data.n_rows)
+    labeled = data.has_outcome
+    if not labeled.any():
+        raise DataError("no labeled rows; the outcome ensemble cannot be trained")
+    for k in range(plan.K):
+        for l in range(plan.L):
+            train, valid = bag_split(plan, k, l, labeled)
+            if not (len(train) and len(valid)):
+                raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
+            if np.ptp(data.outcome[train]) == 0.0:
+                raise TrainingError(f"bag ({k}, {l}) has labeled training rows of one outcome class only")
 
 
 def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
@@ -367,17 +388,8 @@ def train_paired(
     """
     config = config or TrainConfig()
     plan = plan or plan_bags(data.n_rows, seed=config.seed)
-    if plan.n_rows != data.n_rows:
-        raise DataError("bag plan was made for a different number of rows")
+    check_bags(plan, data)
     schema = schema or fit_schema(data)
-    labeled = data.has_outcome
-    if not labeled.any():
-        raise DataError("no labeled rows; the outcome ensemble cannot be trained")
-    for k in range(plan.K):
-        for l in range(plan.L):
-            if not all(map(len, bag_split(plan, k, l, labeled))):
-                raise TrainingError(f"bag ({k}, {l}) has no labeled rows in its train or validation split")
-
     shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
     mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
     ensembles = _fit_grid(shared, jobs)
@@ -467,6 +479,7 @@ def fold_fidelity(
     whose labeled test rows hold a single class are skipped for AUC and
     counted.
     """
+    check_plan_rows(plan, data.n_rows)
     rmses = []
     aucs = []
     skipped = 0

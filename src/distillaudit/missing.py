@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import AuditDataset, bin_dataset, open_text
-from .distill import PairedEnsembles, mimic_targets
-from .errors import DataError, DegenerateStatisticsError
+from .distill import PairedEnsembles, check_plan_rows, mimic_targets
+from .errors import ConfigError, DataError, DegenerateStatisticsError
 from .stats import average_ranks
 
 MIN_PAIRS = 30
@@ -99,8 +99,7 @@ def error_pairs(paired: PairedEnsembles, data: AuditDataset) -> ErrorPairs:
     the mimic target scale (calibrated log odds when calibration applied,
     raw score otherwise); outcome errors are |probability - outcome|.
     """
-    if paired.plan.n_rows != data.n_rows:
-        raise DataError("paired ensembles were trained on a different number of rows")
+    check_plan_rows(paired.plan, data.n_rows)
     X = bin_dataset(data, paired.schema)
     fold_of = np.full(data.n_rows, -1)
     for k in reversed(range(paired.plan.K)):
@@ -338,6 +337,11 @@ def _verdict(intervals: list[CorrelationInterval]) -> str:
     return "none"
 
 
+def check_resamples(resamples: int) -> None:
+    if resamples < MIN_RESAMPLES:
+        raise ConfigError(f"resamples must be at least {MIN_RESAMPLES}, got {resamples}")
+
+
 def correlation_test(
     mimic_error,
     outcome_error,
@@ -351,6 +355,7 @@ def correlation_test(
     point estimate when a skewed bootstrap distribution would otherwise
     exclude it.
     """
+    check_resamples(resamples)
     a = np.asarray(mimic_error, dtype=float)
     b = np.asarray(outcome_error, dtype=float)
     if len(a) != len(b):
@@ -362,8 +367,6 @@ def correlation_test(
         raise DataError("error series contain non-finite values")
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateStatisticsError("an error series is constant; correlation undefined")
-    if resamples < MIN_RESAMPLES:
-        raise DataError(f"resamples must be at least {MIN_RESAMPLES}")
 
     ranked = _ranked(a, b, _block(n))
     pr, sr, kt = _point_estimates(a, b, ranked)

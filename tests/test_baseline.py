@@ -171,8 +171,14 @@ class TestLinearBags:
         unlabeled = da.AuditDataset.from_arrays(
             {"x0": data.columns["x0"], "x1": data.columns["x1"]}, score=data.score, outcome=outcome
         )
-        with pytest.raises(da.TrainingError, match=r"bag \(1, 0\) has no labeled training rows"):
+        with pytest.raises(da.TrainingError, match=r"bag \(1, 0\) has no labeled rows in its train or validation split"):
             train_linear_bags(unlabeled, plan)
+
+    def test_plan_for_another_row_count_is_refused(self):
+        data = self.dataset(n=1200)
+        plan = da.plan_bags(600, K=2, L=2, seed=0)
+        with pytest.raises(da.DataError, match="bag plan was made for a different number of rows"):
+            train_linear_bags(data, plan)
 
     def test_fold_metrics_near_zero_rmse_on_linear_score(self):
         data = self.dataset()

@@ -498,7 +498,7 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n")
         code = run(["test-missing", "--data", str(path), "--resamples", "50", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "error[config]: --resamples must be at least 100" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error[config]: resamples must be at least 100, got 50\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import distillaudit as da
-from distillaudit.cli import EXIT_TRAINING, main
+from distillaudit.cli import EXIT_TRAINING, main, run_audit
 from distillaudit.data import dump_json, load_json
 from distillaudit.gam import IDENTITY, LOGISTIC
 
@@ -44,14 +44,29 @@ def model_bytes(paired):
     ]
 
 
+def relabeled(data, outcome):
+    return da.AuditDataset(data.feature_names, data.feature_kinds, data.columns, data.score, outcome)
+
+
+def unlabeled(data, plan):
+    return relabeled(data, np.full(data.n_rows, np.nan))
+
+
 def unlabeled_outside(data, plan):
     """``data`` with outcomes kept only on the rows of outer test fold 0, so
     the bags of fold 0 have no labeled rows to train on."""
     outcome = np.full(data.n_rows, np.nan)
     outcome[plan.test[0]] = data.outcome[plan.test[0]]
-    return da.AuditDataset(
-        data.feature_names, data.feature_kinds, data.columns, data.score, outcome
-    )
+    return relabeled(data, outcome)
+
+
+def one_class_in(data, plan, k=1, l=0):
+    """``data`` with the positive outcomes of bag (k, l)'s training rows
+    removed, so that bag's labeled training rows are all negative."""
+    outcome = data.outcome.copy()
+    train = plan.train[k][l]
+    outcome[train[outcome[train] == 1.0]] = np.nan
+    return relabeled(data, outcome)
 
 
 def no_pool(*args, **kwargs):
@@ -262,7 +277,7 @@ class TestPairedTraining:
         with pytest.raises(da.TrainingError, match=r"bag \(0, 0\) has no labeled rows"):
             da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5), jobs=2)
 
-    def test_bag_without_labeled_rows_exits_from_train_stage(self, tmp_path, monkeypatch, capsys):
+    def test_bag_without_labeled_rows_exits_from_load_stage(self, tmp_path, monkeypatch, capsys):
         ds, _ = da.gen_partial_use(n_rows=600, seed=2)
         path = tmp_path / "data.csv"
         unlabeled_outside(ds, da.plan_bags(ds.n_rows, K=2, L=2, seed=5)).to_csv(path)
@@ -270,7 +285,39 @@ class TestPairedTraining:
         code = main(["audit", "--data", str(path), "--K", "2", "--L", "2", "--seed", "5",
                      "--jobs", "2", "--out", str(tmp_path / "out")])
         assert code == EXIT_TRAINING
-        assert "error[train]: bag (0, 0) has no labeled rows" in capsys.readouterr().err
+        assert "error[load]: bag (0, 0) has no labeled rows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bag_with_one_outcome_class_exits_from_load_stage(self, tmp_path, capsys):
+        ds, _ = da.gen_partial_use(n_rows=600, seed=2)
+        path = tmp_path / "data.csv"
+        one_class_in(ds, da.plan_bags(ds.n_rows, K=2, L=2, seed=5)).to_csv(path)
+        code = main(["audit", "--data", str(path), "--K", "2", "--L", "2", "--seed", "5",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err == "error[load]: bag (1, 0) has labeled training rows of one outcome class only\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("relabel, error, match", [
+        (unlabeled, da.DataError, "no labeled rows"),
+        (unlabeled_outside, da.TrainingError, r"bag \(0, 0\) has no labeled rows"),
+        (one_class_in, da.TrainingError, r"bag \(1, 0\) has labeled training rows of one outcome class"),
+    ])
+    def test_run_audit_checks_bag_labels_before_any_file(self, tmp_path, relabel, error, match):
+        ds, _ = da.gen_partial_use(n_rows=600, seed=2)
+        data = relabel(ds, da.plan_bags(ds.n_rows, K=2, L=2, seed=5))
+        load_cfg = da.LoadConfig(max_bins=8)
+        with pytest.raises(error, match=match):
+            run_audit(data, tmp_path / "lib", load_cfg, da.TrainConfig(max_rounds=5, seed=5), K=2, L=2)
+        assert not (tmp_path / "lib").exists()
+
+    def test_bag_with_one_outcome_class_fails_before_dispatch(self, monkeypatch):
+        plan = da.plan_bags(400, K=2, L=2, seed=0)
+        data = one_class_in(small_dataset(), plan, 1, 1)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        with pytest.raises(da.TrainingError, match=r"bag \(1, 1\) has labeled training rows of one"):
+            da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5), jobs=2)
 
     def test_calibrated_training_uses_mapped_targets(self):
         data = small_dataset()
@@ -361,6 +408,15 @@ class TestFidelity:
         fm = da.fidelity(paired, ds)
         span = ds.score.max() - ds.score.min()
         assert fm.score_rmse_mean < 0.15 * span
+
+    def test_plan_for_another_row_count_is_refused(self):
+        data = small_dataset()
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        paired = da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5))
+        larger = small_dataset(n_rows=800)
+        for measure in (da.fidelity, da.error_pairs):
+            with pytest.raises(da.DataError, match="bag plan was made for a different number of rows"):
+                measure(paired, larger)
 
     def test_single_class_test_fold_skipped_for_auc(self):
         rng = np.random.default_rng(7)

@@ -87,7 +87,7 @@ class TestCorrelationTest:
         bad[3] = np.nan
         with pytest.raises(da.DataError, match="non-finite"):
             da.correlation_test(bad, ok)
-        with pytest.raises(da.DataError, match="resamples"):
+        with pytest.raises(da.ConfigError, match="resamples must be at least 100, got 50"):
             da.correlation_test(ok, ok, resamples=50)
         # Each margin varies in one row only, so most resamples miss one of them.
         lone = np.zeros(30)
