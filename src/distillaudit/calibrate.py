@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticsError
-from .stats import clamp_probability, weighted_line_fit
+from .stats import weighted_line_fit
 
 AUTO_LINEARITY_THRESHOLD = 0.15
 MAX_BUCKETS = 50  # score buckets of the linearity diagnostic
+CALIBRATION_MODES = ("auto", "on", "off")
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,6 @@ class CalibrationMap:
         bounds = list(starts) + [len(self.values)]
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             reps[i] = self.breakpoints[lo:hi].mean()
-        if len(levels) == 1:
-            return np.full(len(z), reps[0])
         return np.interp(z, levels, reps)
 
     def to_json_dict(self) -> dict:
@@ -92,6 +91,14 @@ def _labeled(scores, outcomes) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("outcomes must be 0 or 1")
     return s, y
+
+
+def _clamped_log_odds(p: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Log odds of ``p`` clamped into [eps, 1 - eps], with eps = 1/(2n) for
+    ``n`` labeled rows so every value is finite; returns them and eps."""
+    eps = 1.0 / (2.0 * n)
+    p = np.clip(p, eps, 1.0 - eps)
+    return np.log(p / (1.0 - p)), eps
 
 
 def pav_fit(levels: np.ndarray, means: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -127,10 +134,7 @@ def fit_calibration(scores, outcomes) -> CalibrationMap:
         raise DegenerateStatisticsError("calibration needs both outcome classes")
     w = np.bincount(inverse_idx).astype(float)
     level_means = np.bincount(inverse_idx, weights=y) / w
-    fitted = pav_fit(levels, level_means, w)
-    eps = 1.0 / (2.0 * len(s))
-    probs = clamp_probability(fitted, eps)
-    values = np.log(probs / (1.0 - probs))
+    values, eps = _clamped_log_odds(pav_fit(levels, level_means, w), len(s))
     return CalibrationMap(levels, values, eps)
 
 
@@ -209,9 +213,7 @@ def diagnose(scores, outcomes) -> CalibrationDiagnostics:
         counts, sums_y = counts[keep], sums_y[keep]
         levels = sums_s[keep] / counts
     emp = sums_y / counts
-    eps = 1.0 / (2.0 * len(s))
-    clamped = clamp_probability(emp, eps)
-    log_odds = np.log(clamped / (1.0 - clamped))
+    log_odds, _ = _clamped_log_odds(emp, len(s))
     p_slope, p_icept, p_rmse = weighted_line_fit(levels, emp, counts)
     z_slope, z_icept, z_rmse = weighted_line_fit(levels, log_odds, counts)
     return CalibrationDiagnostics(
@@ -236,7 +238,7 @@ def decide_calibration(diagnostics: CalibrationDiagnostics, mode: str) -> dict:
     count-weighted log-odds linearity RMSE exceeds the threshold, i.e. when
     the raw score is visibly non-linear in the log odds.
     """
-    if mode not in ("auto", "on", "off"):
+    if mode not in CALIBRATION_MODES:
         raise DataError(f"calibration mode must be auto, on, or off, got {mode!r}")
     rmse = diagnostics.logit_rmse
     if mode == "on":

@@ -7,7 +7,8 @@ be written). A missing, unreadable or non-UTF-8 input is a data error, or a
 config error for ``--config``. The config file and the flags are checked in
 the ``config`` stage, before any file is read or written; the rules that
 need the table (row count, bag labels, ``--pairs`` against its feature
-pairs) stop the ``load`` stage, before the audit writes a file.
+pairs, a feature column with no value) stop the ``load`` stage, before the
+audit writes a file.
 
 The audit itself is :func:`run_audit`, shared by the ``audit`` subcommand,
 the demos and library code (the package root does not import this module).
@@ -35,7 +36,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
-from .calibrate import decide_calibration, diagnose, fit_calibration
+from .calibrate import CALIBRATION_MODES, decide_calibration, diagnose, fit_calibration
 from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, open_text
 from .distill import (
     FidelityMetrics,
@@ -52,7 +53,7 @@ from .distill import (
 )
 from .errors import AuditError, ConfigError, DataError, DegenerateStatisticsError, TrainingError
 from .gam import TrainConfig
-from .missing import check_resamples, correlation_test, error_pairs, load_error_pairs_csv
+from .missing import DEFAULT_RESAMPLES, check_resamples, correlation_test, error_pairs, load_error_pairs_csv
 from .compare import ComparisonSummary, summarize
 from .report import (
     build_report,
@@ -264,19 +265,18 @@ def run_audit(
     bootstrap. ``calibration``, ``K``, ``L`` and ``jobs`` are the flags of
     the same names. ``stage``, when given, times each stage and names the
     stage an error is raised in. The run-shape rules (``jobs``, ``K`` and
-    ``L``, the row count and ``n_pairs``) and the bag rules of
-    :func:`~distillaudit.distill.check_bags` raise before ``out_dir`` is made.
+    ``L``, the row count and ``n_pairs``), the bag rules of
+    :func:`~distillaudit.distill.check_bags` and the feature rules of
+    :func:`~distillaudit.data.fit_schema` raise before ``out_dir`` is made.
     """
     check_jobs(jobs)
     plan = plan_bags(data.n_rows, K=K, L=L, seed=train_config.seed)
     check_bags(plan, data)
     check_pair_count(train_config.n_pairs, data.n_features)
+    schema = fit_schema(data, load_config.max_bins)
     stage = stage or _Stage()
     out_dir = Path(out_dir)
     decision, diag_raw, cmap = _calibration_stage(data, calibration, out_dir, stage)
-
-    stage.at("plan")
-    schema = fit_schema(data, load_config.max_bins)
 
     stage.at("train")
     paired = train_paired(data, cmap, plan, train_config, schema, jobs=jobs)
@@ -443,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="fit and diagnose the score-to-probability map")
     _add_dataset_flags(p_cal)
-    p_cal.add_argument("--calibration", choices=("auto", "on", "off"), default="auto")
+    p_cal.add_argument("--calibration", choices=CALIBRATION_MODES, default="auto")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_audit = sub.add_parser("audit", help="run the full distillation audit")
     _add_dataset_flags(p_audit)
-    p_audit.add_argument("--calibration", choices=("auto", "on", "off"), default="auto")
+    p_audit.add_argument("--calibration", choices=CALIBRATION_MODES, default="auto")
     p_audit.add_argument("--K", type=int, default=5, help="outer folds")
     p_audit.add_argument("--L", type=int, default=5, help="inner bags per fold")
     p_audit.add_argument("--pairs", type=int, default=None, help="pairwise grids to fit (default: train.n_pairs or 0)")
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_miss = sub.add_parser("test-missing", help="correlation test on a CSV of error pairs")
     p_miss.add_argument("--data", required=True, help="CSV with fold, mimic_abs_error, outcome_abs_error")
-    p_miss.add_argument("--resamples", type=int, default=1000)
+    p_miss.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p_miss.add_argument("--seed", type=int, default=0)
     p_miss.add_argument("--out", required=True, help="output directory")
     p_miss.set_defaults(func=cmd_test_missing)

@@ -199,7 +199,7 @@ def _surface_means(paired: PairedEnsembles, i: int, j: int) -> list[np.ndarray]:
         sums[0] += mimic
         sums[1] += outcome
         sums[2] += mimic - outcome
-    sums /= paired.mimic.K * paired.mimic.L
+    sums /= paired.plan.K * paired.plan.L
     return list(sums)
 
 

@@ -139,9 +139,6 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
         raise DataError(f"need {MIN_ROWS} to {2**31 - 1} rows to split into bags, got {n_rows}")
     n_test = round(TEST_FRACTION * n_rows)
     n_valid = round(VALID_FRACTION * n_rows)
-    n_train = n_rows - n_test - n_valid
-    if n_test < 1 or n_valid < 1 or n_train < 1:
-        raise DataError("bag fractions leave an empty split")
     rng = np.random.default_rng(seed)
     tests = []
     trains = []
@@ -187,14 +184,6 @@ class BagEnsemble:
     models: list[list]
     link: str
     schema: FeatureSchema
-
-    @property
-    def K(self) -> int:
-        return len(self.models)
-
-    @property
-    def L(self) -> int:
-        return len(self.models[0])
 
     def shape_tensor(self, feature: int) -> np.ndarray:
         """Shape values of every model for one feature, shaped (K, L, bins)."""
@@ -406,9 +395,9 @@ def with_interactions(
     """Extend every model of both ensembles with the same top feature pairs.
 
     Pairs are screened once, by :func:`rank_interaction_pairs` on the
-    residuals of bag (0, 0)'s mimic model over its training and validation
-    rows, and reused everywhere so that all models remain comparable surface
-    by surface; every model lists them, in rank order, in its ``surfaces``.
+    residuals of bag (0, 0)'s mimic model over its training rows, and
+    reused everywhere so that all models remain comparable surface by
+    surface; every model lists them, in rank order, in its ``surfaces``.
     """
     if n_pairs == 0:
         return paired
@@ -416,8 +405,8 @@ def with_interactions(
     config = config or TrainConfig()
     X = bin_dataset(data, paired.schema)
     shared = _bag_data(data, X, paired.calibration, paired.plan, config)
-    rows00 = np.concatenate(bag_split(paired.plan, 0, 0), dtype=np.intp)
-    ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=rows00)
+    train00, _ = bag_split(paired.plan, 0, 0)
+    ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=train00)
     pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
 
     ensembles = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
@@ -476,8 +465,8 @@ def fold_fidelity(
     ``gather(rows)`` returns the input rows the ensembles' models read.
     Mimic predictions are on the calibrated log-odds scale when a
     calibration map is in use; they are mapped back before the RMSE. Folds
-    whose labeled test rows hold a single class are skipped for AUC and
-    counted.
+    whose labeled test rows hold a single class, or none, are skipped for
+    AUC and counted.
     """
     check_plan_rows(plan, data.n_rows)
     rmses = []
@@ -490,9 +479,6 @@ def fold_fidelity(
             pred = calibration.inverse(pred)
         rmses.append(rmse(pred, data.score[test]))
         lab = test[labeled[test]]
-        if len(lab) == 0:
-            skipped += 1
-            continue
         prob = outcome.predict_fold(k, gather(lab))
         try:
             aucs.append(auc(data.outcome[lab], prob))

@@ -192,15 +192,14 @@ def _best_cut(cg: np.ndarray, cd: np.ndarray, lo: int):
     leaving at most ``_MIN_HESSIAN`` on a side are invalid; ties resolve to
     the lowest cut. Hessians are non-negative, so ``cd`` never decreases, the
     right-hand sums never increase, and the valid cuts form one contiguous
-    run whose ends two binary searches find.
+    run whose ends two binary searches find; it is empty when D is at most
+    ``_MIN_HESSIAN``.
     """
     n = len(cg) - 1
     if n < 1:
         return None
     total_g = cg[-1]
     total_d = cd[-1]
-    if total_d <= _MIN_HESSIAN:
-        return None
     dl = cd[:-1]
     dr = total_d - dl
     start = int(dl.searchsorted(_MIN_HESSIAN, side="right"))
@@ -369,9 +368,11 @@ def _hessian_margins(DN: np.ndarray):
 
 def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate, margins=None):
     """A pair's visit: leaf values of its rectangle tree, flattened, or None.
-    ``margins`` are :func:`_hessian_margins` of ``denom`` when it never
-    changes (the identity link's cell counts), so a term sums them once."""
+    ``margins`` are :func:`_hessian_margins` of ``denom``, summed here unless
+    given; a term whose ``denom`` never changes (the identity link's cell
+    counts) sums them once."""
     SG, DN = sum_g.reshape(shape), denom.reshape(shape)
+    margins = margins or _hessian_margins(DN)
     rects = _best_rect_tree(SG, DN, leaves, margins=margins)
     if len(rects) == 1:
         return None
@@ -379,8 +380,7 @@ def _rect_update(leaves: int, shape: tuple[int, int], sum_g, denom, clip, gate, 
     # A pure interaction is flat along each axis, so its first cut gains
     # nothing; entry is judged on the whole tree instead, one chi-square
     # budget per accepted split.
-    total_d = None if margins is None else margins[4]
-    if gate is not None and _rect_tree_gain(SG, DN, sums, total_d) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
+    if gate is not None and _rect_tree_gain(SG, sums, margins[4]) <= max(_MIN_GAIN, gate * (len(rects) - 1)):
         return None
     V = np.zeros(shape)
     for (r0, r1, c0, c1), (g, d) in zip(rects, sums):
@@ -603,15 +603,11 @@ def _best_rect_tree(
     its marginal sums: row sums for cuts between rows, column sums for cuts
     between columns. A split's children slice their parent's marginal along
     the split axis, whose sums cover the same cells and so have the same
-    bits; only their marginals across it are summed again. ``margins``
-    passes :func:`_hessian_margins` of ``DN`` when they are known.
+    bits; only their marginals across it are summed again. ``margins`` are
+    :func:`_hessian_margins` of ``DN``, summed here unless given.
     """
     rects = [(0, SG.shape[0], 0, SG.shape[1])]
-    if margins is None:
-        d_rows, d_cols = DN.sum(axis=1), DN.sum(axis=0)
-        cd_rows = cd_cols = None
-    else:
-        d_rows, cd_rows, d_cols, cd_cols, _ = margins
+    d_rows, cd_rows, d_cols, cd_cols, _ = margins or _hessian_margins(DN)
     # Rectangle ri's row segment is segments[2 * ri], its column segment the next.
     segments = [_segment(SG.sum(axis=1), d_rows, 0, cd_rows), _segment(SG.sum(axis=0), d_cols, 0, cd_cols)]
     for _ in range(max_leaves - 1):
@@ -638,13 +634,11 @@ def _best_rect_tree(
     return rects
 
 
-def _rect_tree_gain(SG: np.ndarray, DN: np.ndarray, sums, total_d: float | None = None) -> float:
+def _rect_tree_gain(SG: np.ndarray, sums, total_d: float) -> float:
     """Squared-error reduction of a rectangle partition over the root fit,
-    given the (gradient, Hessian) sums of its rectangles (and the grid's
-    Hessian total, when known)."""
+    given the (gradient, Hessian) sums of its rectangles and the grid's
+    Hessian total."""
     total_g = float(SG.sum())
-    if total_d is None:
-        total_d = float(DN.sum())
     if total_d <= _MIN_HESSIAN:
         return 0.0
     gain = -(total_g**2) / total_d

@@ -112,8 +112,6 @@ def error_pairs(paired: PairedEnsembles, data: AuditDataset) -> ErrorPairs:
     outcome_err = np.full(data.n_rows, np.nan)
     for k in range(paired.plan.K):
         rows = np.flatnonzero(use & (fold_of == k))
-        if len(rows) == 0:
-            continue
         Xk = X.take(rows)
         mimic_err[rows] = np.abs(paired.mimic.predict_fold(k, Xk) - targets[rows])
         outcome_err[rows] = np.abs(paired.outcome.predict_fold(k, Xk) - data.outcome[rows])

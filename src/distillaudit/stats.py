@@ -31,11 +31,6 @@ def log_expit(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, -0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
-def clamp_probability(p: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp probabilities into [eps, 1 - eps] so their logit is finite."""
-    return np.clip(p, eps, 1.0 - eps)
-
-
 def mean_nll(y: np.ndarray, logits: np.ndarray) -> float:
     """Mean negative Bernoulli log-likelihood (the classification training loss).
 

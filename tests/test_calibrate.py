@@ -143,6 +143,12 @@ class TestCalibrationMap:
         order = np.argsort(z)
         assert np.all(np.diff(back[order]) >= -1e-9)
 
+    def test_inverse_of_a_one_level_map_is_its_representative(self):
+        cmap = da.fit_calibration(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+        assert len(np.unique(cmap.values)) == 1
+        z = np.array([-np.inf, -50.0, cmap.values[0], 0.3, 50.0, np.inf])
+        np.testing.assert_array_equal(cmap.inverse(z), np.full(len(z), 2.5))
+
     def test_score_only_rows_ignored(self):
         scores = np.array([1.0, 2.0, 3.0, 4.0])
         outcomes = np.array([0.0, np.nan, 1.0, 1.0])

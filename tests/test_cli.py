@@ -56,6 +56,12 @@ def small_train_config(tmp_path, max_bins=16, **train):
     return path
 
 
+def without_values(data, name):
+    """``data`` with every value of the numeric feature ``name`` missing."""
+    columns = {**data.columns, name: np.full(data.n_rows, np.nan)}
+    return da.AuditDataset(data.feature_names, data.feature_kinds, columns, data.score, data.outcome)
+
+
 class TestGenSynthetic:
     def test_writes_loadable_csv_and_truth(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
@@ -167,7 +173,7 @@ class TestAudit:
         _, out = audit_run
         stages = json.loads((out / "run_meta.json").read_text())["stages"]
         assert [s["name"] for s in stages] == [
-            "startup", "config", "load", "calibrate", "plan",
+            "startup", "config", "load", "calibrate",
             "train", "baseline", "compare", "missing-test", "report",
         ]
         for s in stages:
@@ -342,6 +348,12 @@ class TestRunAudit:
             cli.run_audit(data, tmp_path / "lib", load_cfg, da.TrainConfig(max_rounds=5, n_pairs=n_pairs), K=K, L=2)
         assert not (tmp_path / "lib").exists()
 
+    def test_feature_with_no_value_is_checked_before_any_file(self, tmp_path):
+        data = without_values(da.gen_partial_use(n_rows=600, seed=0)[0], "x00")
+        with pytest.raises(da.DataError, match="feature 'x00' has zero non-missing values"):
+            cli.run_audit(data, tmp_path / "lib", da.LoadConfig(max_bins=8), da.TrainConfig(max_rounds=5), K=2, L=2)
+        assert not (tmp_path / "lib").exists()
+
     def test_jobs_below_one_is_a_config_error(self, tmp_path):
         load_cfg = da.LoadConfig(max_bins=8)
         data, _ = da.gen_partial_use(n_rows=300, seed=0)
@@ -481,6 +493,13 @@ class TestExitCodes:
         assert run(["gen-synthetic", "--kind", "interaction", "--rows", str(rows), "--out", str(data)]) == 0
         assert run(["audit", "--data", str(data), "--out", str(tmp_path / "o"), *flags]) == code
         assert capsys.readouterr().err.startswith(f"error[{tag}]: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_feature_with_no_value_stops_before_any_file(self, tmp_path, capsys):
+        data = tmp_path / "empty_x00.csv"
+        without_values(da.gen_partial_use(n_rows=600, seed=0)[0], "x00").to_csv(data)
+        assert run(["audit", "--data", str(data), "--K", "2", "--L", "2", "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err == "error[load]: feature 'x00' has zero non-missing values\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

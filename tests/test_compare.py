@@ -209,11 +209,11 @@ class TestSurfacesAndSerialization:
         ds, _ = da.gen_interaction(n_rows=800, seed=1)
         plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=1)
         config = da.TrainConfig(learning_rate=0.2, max_rounds=20, seed=1)
-        rows00 = np.concatenate(bag_split(plan, 0, 0), dtype=np.intp)
+        train00, _ = bag_split(plan, 0, 0)
         for cmap in (None, da.fit_calibration(ds.score, ds.outcome)):
             paired = da.train_paired(ds, calibration=cmap, plan=plan, config=config)
             X = da.bin_dataset(ds, paired.schema)
-            ranked = da.rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets(ds, cmap), rows=rows00)
+            ranked = da.rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets(ds, cmap), rows=train00)
             summary = da.summarize(da.with_interactions(paired, ds, 3, config))
             assert [(sc.i, sc.j) for sc in summary.surfaces] == [(ps.i, ps.j) for ps in ranked[:3]]
             assert summary.calibrated == (cmap is not None)

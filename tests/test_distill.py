@@ -418,6 +418,21 @@ class TestFidelity:
             with pytest.raises(da.DataError, match="bag plan was made for a different number of rows"):
                 measure(paired, larger)
 
+    def test_fold_without_labeled_test_rows_is_skipped(self):
+        data = small_dataset(n_rows=600)
+        plan = da.plan_bags(data.n_rows, K=3, L=2, seed=0)
+        outcome = data.outcome.copy()
+        outcome[plan.test[0]] = np.nan
+        data = relabeled(data, outcome)
+        paired = da.train_paired(data, plan=plan, config=da.TrainConfig(learning_rate=0.1, max_rounds=20))
+        linear = da.linear_fold_metrics(data, plan, da.train_linear_bags(data, plan))
+        for fm in (da.fidelity(paired, data), linear):
+            assert fm.n_auc_folds_skipped == 1
+            assert len(fm.outcome_auc_folds) == 2 and len(fm.score_rmse_folds) == 3
+        pairs = da.error_pairs(paired, data)
+        assert set(pairs.fold_ids) == {1, 2}
+        assert pairs.n_excluded_score_only == len(plan.test[0])
+
     def test_single_class_test_fold_skipped_for_auc(self):
         rng = np.random.default_rng(7)
         n = 200

@@ -23,6 +23,7 @@ from distillaudit.gam import (
     _best_rect_tree,
     _best_tree,
     _center_shapes,
+    _hessian_margins,
     _rect_update,
     _split_rows,
 )
@@ -941,3 +942,15 @@ class TestRectTreeOracle:
             assert (got is None) == (want is None), trial
             if want is not None:
                 assert got.tobytes() == want.ravel().tobytes(), trial
+
+    def test_identity_margins_given_or_summed_give_the_same_bytes(self):
+        rng = np.random.default_rng(16)
+        for trial in range(400):
+            SG, DN = random_pair_histograms(rng, 20 * (trial // 5) + trial % 5)  # cell counts and residual sums
+            leaves = int(rng.integers(2, 7))
+            gate = None if trial % 2 else float(rng.choice([0.01, 1.0, 100.0]))
+            args = (leaves, SG.shape, SG.ravel(), DN.ravel(), None, gate)
+            summed, given = _rect_update(*args), _rect_update(*args, margins=_hessian_margins(DN))
+            assert (summed is None) == (given is None), trial
+            if given is not None:
+                assert summed.tobytes() == given.tobytes(), trial
