@@ -28,6 +28,7 @@ import csv
 import json
 import math
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
 from dataclasses import dataclass, field
@@ -247,11 +248,23 @@ class LoadConfig(JsonConfig):
             if kind not in (NUMERIC, CATEGORICAL):
                 raise ConfigError(f"feature type for {name!r} must be numeric or categorical, got {kind!r}")
         _check_max_bins(self.max_bins)
+        if self.score_column == self.outcome_column:
+            raise ConfigError(f"score_column and outcome_column are both {self.score_column!r}")
+        if self.feature_columns is not None:
+            if repeated := _repeated(self.feature_columns):
+                raise ConfigError(f"feature_columns names a column more than once: {repeated}")
+            if roles := sorted({self.score_column, self.outcome_column} & set(self.feature_columns)):
+                raise ConfigError(f"feature_columns names the score or outcome column: {roles}")
 
 
 def _check_max_bins(max_bins: int) -> None:
     if max_bins < 2:
         raise ConfigError("max_bins must be at least 2")
+
+
+def _repeated(names) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(n for n, count in Counter(names).items() if count > 1)
 
 
 @dataclass
@@ -411,6 +424,8 @@ def load_csv(path: str | Path, config: LoadConfig | None = None) -> AuditDataset
         except StopIteration:
             raise DataError("empty file") from None
         header = [h.strip() for h in header]
+        if repeated := _repeated(header):
+            raise DataError(f"header names a column more than once: {repeated}")
 
         if config.score_column not in header:
             raise DataError(f"missing score column {config.score_column!r}")
@@ -618,7 +633,8 @@ def fit_schema(data: AuditDataset, max_bins: int = 256) -> FeatureSchema:
 
 @dataclass(frozen=True)
 class BinnedMatrix:
-    """T x p matrix of bin indices under a fixed schema."""
+    """T x p matrix of bin indices under a fixed schema, stored column by
+    column as int32; every reader gathers rows with :meth:`take`."""
 
     codes: np.ndarray
     schema: FeatureSchema
@@ -631,10 +647,8 @@ class BinnedMatrix:
         return self.codes[:, feature]
 
     def take(self, rows: np.ndarray) -> "BinnedMatrix":
-        """The given rows, stored column by column when this matrix is."""
-        if self.codes.flags.f_contiguous:
-            return BinnedMatrix(self.codes.T.take(rows, axis=1).T, self.schema)
-        return BinnedMatrix(self.codes[np.asarray(rows)], self.schema)
+        """The given rows, stored column by column."""
+        return BinnedMatrix(self.codes.T.take(rows, axis=1).T, self.schema)
 
     def bin_mass(self, feature: int) -> np.ndarray:
         """Fraction of rows per bin."""
@@ -643,10 +657,12 @@ class BinnedMatrix:
 
 
 def bin_dataset(data: AuditDataset, schema: FeatureSchema) -> BinnedMatrix:
-    """Map every feature value to its bin index under ``schema``.
+    """Map every feature value to its bin index under ``schema``, into
+    column-major int32 codes.
 
     Total on finite inputs: out-of-range numeric values clamp to the extreme
-    bins, unseen categories and missing values map to the missing bin.
+    bins, unseen categories and missing values map to the missing bin. A
+    feature whose kind differs from its spec's is a :class:`DataError`.
     """
     if set(data.feature_names) != set(schema.names):
         extra = set(data.feature_names) - set(schema.names)
@@ -654,12 +670,12 @@ def bin_dataset(data: AuditDataset, schema: FeatureSchema) -> BinnedMatrix:
             raise DataError(f"features absent from schema: {sorted(extra)}")
         raise DataError(f"schema features absent from data: {sorted(set(schema.names) - set(data.feature_names))}")
     kinds = dict(zip(data.feature_names, data.feature_kinds))
-    codes = np.zeros((data.n_rows, schema.n_features), dtype=np.int32)
+    codes = np.zeros((data.n_rows, schema.n_features), dtype=np.int32, order="F")
     for j, spec in enumerate(schema.specs):
         col = data.columns[spec.name]
+        if kinds[spec.name] != spec.kind:
+            raise DataError(f"feature {spec.name!r} kind differs between data and schema")
         if spec.kind == NUMERIC:
-            if kinds[spec.name] != NUMERIC:
-                raise DataError(f"feature {spec.name!r} kind differs between data and schema")
             missing = np.isnan(col)
             c = np.searchsorted(np.asarray(spec.edges), col, side="right")
             c[missing] = spec.missing_bin

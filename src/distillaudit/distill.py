@@ -29,8 +29,11 @@ config reach each ``--jobs`` worker once, through the pool initializer:
 inherited under ``fork``, pickled once per worker under ``spawn``. A task
 carries its family and bag and, for a pair fit, the bag's main model; models
 cross the pool without their schema, and the calling process rebuilds each
-against the one schema it holds. Each fit gathers its own bag's rows once,
-so the memory of the calling process does not grow with K x L. With
+against the one schema it holds. Each call bins the table into
+column-major int32 codes, and each fit gathers its own bag's rows once,
+with :meth:`BinnedMatrix.take` as every reader does; only the fit's cell
+arrays, which boosting bincounts, are ``intp``. So the memory of the
+calling process does not grow with K x L. With
 ``jobs=1`` the same function runs in-process, and no process-pool module is
 loaded. Outcome fits, the slower family, are submitted first.
 """
@@ -269,7 +272,7 @@ def _fit_bag(data: _BagData, link: str, k: int, l: int, base: dict | None) -> di
     ``base``, a main model without its schema. Returns the fitted model
     without its schema."""
     train, valid = bag_split(data.plan, k, l, data.labeled if link == LOGISTIC else None)
-    rows = np.concatenate([train, valid], dtype=np.intp)
+    rows = np.concatenate([train, valid])
     local_valid = np.arange(len(train), len(rows))
     X = data.X.take(rows)
     y = data.targets[link][rows]
@@ -354,11 +357,8 @@ def _fit_grid(data: _BagData, jobs: int, base: PairedEnsembles | None = None) ->
 def _bag_data(
     data: AuditDataset, X: BinnedMatrix, calibration: CalibrationMap | None, plan: BagPlan, config: TrainConfig
 ) -> _BagData:
-    """The codes are stored column by column as ``intp``: a fit gathers its
-    bag's rows in one pass, and boosting reads their columns without a copy."""
-    codes = BinnedMatrix(np.asfortranarray(X.codes, dtype=np.intp), X.schema)
     targets = {IDENTITY: mimic_targets(data, calibration), LOGISTIC: data.outcome}
-    return _BagData(codes, targets, data.has_outcome, plan, config)
+    return _BagData(X, targets, data.has_outcome, plan, config)
 
 
 def train_paired(

@@ -295,11 +295,12 @@ def _split_rows(n_rows: int, validation) -> tuple[np.ndarray, np.ndarray | None]
 
 
 def _fit_rows(X: BinnedMatrix, targets, validation, logistic: bool):
-    """A fit's checked targets, training and validation rows, and their :func:`_columns`."""
+    """A fit's checked targets, training and validation rows, and their codes
+    as one contiguous ``intp`` row per feature."""
     y = _checked_targets(targets, X.n_rows, logistic)
     train_rows, valid_rows = _split_rows(X.n_rows, validation)
-    Cv = None if valid_rows is None else _columns(X.codes, valid_rows)
-    return y, train_rows, valid_rows, _columns(X.codes, train_rows), Cv
+    Cv = None if valid_rows is None else X.take(valid_rows).codes.T.astype(np.intp)
+    return y, train_rows, valid_rows, X.take(train_rows).codes.T.astype(np.intp), Cv
 
 
 def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
@@ -311,15 +312,6 @@ def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
         h -= mu
         shift += mu
     return shift
-
-
-def _columns(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Bin codes of ``rows`` as one contiguous ``intp`` row per feature; a
-    view of column-major ``intp`` codes when ``rows`` are consecutive, as a
-    bag's training and validation rows are."""
-    if codes.dtype == np.intp and codes.flags.f_contiguous and len(rows) and (np.diff(rows) == 1).all():
-        return codes[rows[0] : rows[0] + len(rows)].T
-    return np.array(codes[rows].T, dtype=np.intp, order="C")
 
 
 def _checked_targets(targets, n_rows: int, logistic: bool) -> np.ndarray:

@@ -29,6 +29,13 @@ from .errors import ConfigError
 from .stats import sigmoid
 
 
+def _rng(n_rows: int, seed: int) -> np.random.Generator:
+    """The one generator of a call that draws ``n_rows`` rows, at least 1."""
+    if n_rows < 1:
+        raise ConfigError(f"n_rows must be at least 1, got {n_rows}")
+    return np.random.default_rng(seed)
+
+
 def _dataset(features: dict[str, np.ndarray], score: np.ndarray, outcome: np.ndarray) -> AuditDataset:
     return AuditDataset.from_arrays(features, score, outcome.astype(float))
 
@@ -42,7 +49,7 @@ def gen_linear_score(n_rows: int = 50000, seed: int = 0, n_features: int = 40):
     """
     if n_features < 3:
         raise ConfigError("need at least 3 features")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n_rows, seed)
     names = [f"f{i:02d}" for i in range(n_features)]
     cols = {name: (rng.random(n_rows) < 0.3).astype(float) for name in names}
     weights = {name: 0.0 for name in names}
@@ -76,7 +83,7 @@ def gen_partial_use(
     """
     if not 0 < n_used <= n_features:
         raise ConfigError("n_used must be in [1, n_features]")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n_rows, seed)
     names = [f"x{i:02d}" for i in range(n_features)]
     cols = {name: rng.random(n_rows) for name in names}
     thresholds = rng.uniform(0.3, 0.7, size=n_features)
@@ -109,7 +116,7 @@ def gen_hidden_feature(n_rows: int = 10000, seed: int = 0, strength: float = 1.0
     """
     if strength <= 0.0:
         raise ConfigError("strength must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n_rows, seed)
     x0, x1, x2 = rng.normal(size=(3, n_rows))
     base = x0 + 0.5 * x1 - 0.5 * x2
     z_score = rng.normal(size=n_rows)
@@ -134,7 +141,7 @@ def gen_kinked_score(n_rows: int = 8000, seed: int = 0, kink: float = 350.0):
     """
     if not 300.0 < kink < 500.0:
         raise ConfigError("kink must lie inside the score range (300, 500)")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n_rows, seed)
     u0 = rng.random(n_rows)
     u1 = rng.random(n_rows)
     score = 300.0 + 200.0 * (0.5 * u0 + 0.5 * u1)
@@ -151,7 +158,7 @@ def gen_interaction(n_rows: int = 6000, seed: int = 0, pair_amplitude: float = 2
     score = 0.5*x2 + amplitude * 1[x0 > 0] * 1[x1 > 0] + noise, with five
     uniform features on [-1, 1]; x3 and x4 are pure distractors.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(n_rows, seed)
     names = [f"x{i}" for i in range(5)]
     cols = {name: rng.uniform(-1.0, 1.0, size=n_rows) for name in names}
     inter = (cols["x0"] > 0) & (cols["x1"] > 0)

@@ -94,6 +94,12 @@ class TestGenSynthetic:
         assert "error[generate]: --control" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_rows_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        assert run(["gen-synthetic", "--kind", "interaction", "--rows", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error[generate]: n_rows must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_unknown_kind_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["gen-synthetic", "--kind", "no-such", "--out", str(tmp_path / "x.csv")])
@@ -500,6 +506,23 @@ class TestExitCodes:
         without_values(da.gen_partial_use(n_rows=600, seed=0)[0], "x00").to_csv(data)
         assert run(["audit", "--data", str(data), "--K", "2", "--L", "2", "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert capsys.readouterr().err == "error[load]: feature 'x00' has zero non-missing values\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("header, load, flags, code, tag", [
+        ("u0,u0,score,outcome", {}, [], EXIT_DATA, "load"),
+        ("u0,u1,score,outcome", {"feature_columns": ["u0", "score"]}, [], EXIT_CONFIG, "config"),
+        ("u0,u1,score,outcome", {}, ["--outcome-col", "score"], EXIT_CONFIG, "config"),
+    ], ids=["repeated-header", "score-as-feature", "score-is-outcome"])
+    def test_column_with_two_roles_stops_before_any_file(self, tmp_path, capsys, header, load, flags, code, tag):
+        data = write_kinked(tmp_path, rows=600)
+        lines = data.read_text().splitlines(keepends=True)
+        assert lines[0] == "u0,u1,score,outcome\n"
+        data.write_text(header + "\n" + "".join(lines[1:]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"load": load}))
+        argv = ["audit", "--data", str(data), "--config", str(cfg), "--K", "2", "--L", "2", *flags]
+        assert run([*argv, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(f"error[{tag}]: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

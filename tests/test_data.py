@@ -137,6 +137,21 @@ class TestBinning:
         with pytest.raises(da.DataError):
             da.bin_dataset(other, schema)
 
+    def test_codes_and_taken_rows_are_column_major_int32(self):
+        ds = da.gen_partial_use(n_rows=50, seed=0, n_features=3, n_used=1)[0]
+        X = da.bin_dataset(ds, da.fit_schema(ds, max_bins=8))
+        rows = np.array([7, 2, 2, 40], dtype=np.int32)
+        for codes in (X.codes, X.take(rows).codes):
+            assert codes.dtype == np.int32
+            assert codes.flags.f_contiguous
+        np.testing.assert_array_equal(X.take(rows).codes, X.codes[rows])
+
+    def test_categorical_spec_over_numeric_column_rejected(self):
+        spec = da.FeatureSpec("x", CATEGORICAL, categories=("a", "b"))
+        schema = da.FeatureSchema((spec,), max_bins=256)
+        with pytest.raises(da.DataError, match="kind differs"):
+            da.bin_dataset(make_numeric_dataset([1.0, 2.0, 3.0]), schema)
+
     def test_bin_mass_sums_to_one(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=400)
@@ -236,6 +251,21 @@ class TestLoader:
         cfg = da.LoadConfig(feature_types={"x": NUMERIC})
         with pytest.raises(da.DataError, match="numeric"):
             da.load_csv(path, cfg)
+
+    def test_repeated_header_name_is_an_error(self, tmp_path):
+        path = self.write(tmp_path, "x,x,score,outcome\n1,2,10,1\n3,4,20,0\n")
+        with pytest.raises(da.DataError, match=r"more than once: \['x'\]"):
+            da.load_csv(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"feature_columns": ("x", "score")}, r"score or outcome column: \['score'\]"),
+        ({"feature_columns": ("outcome",)}, r"score or outcome column: \['outcome'\]"),
+        ({"feature_columns": ("x", "y", "x")}, r"more than once: \['x'\]"),
+        ({"outcome_column": "score"}, "both 'score'"),
+    ], ids=["score-as-feature", "outcome-as-feature", "repeated-feature", "score-is-outcome"])
+    def test_one_column_one_role(self, fields, message):
+        with pytest.raises(da.ConfigError, match=message):
+            da.LoadConfig(**fields)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(da.ConfigError, match="unknown"):

@@ -23,6 +23,7 @@ from distillaudit.gam import (
     _best_rect_tree,
     _best_tree,
     _center_shapes,
+    _fit_rows,
     _hessian_margins,
     _rect_update,
     _split_rows,
@@ -45,6 +46,22 @@ def bin_means(codes, y, n_bins):
     sums = np.bincount(codes, weights=y, minlength=n_bins)
     counts = np.bincount(codes, minlength=n_bins)
     return sums, counts
+
+
+class TestFitRows:
+    @pytest.mark.parametrize("layout", ["binned", "row-major int32", "column-major intp"])
+    def test_rows_are_contiguous_intp_per_feature(self, layout):
+        ds = da.gen_partial_use(n_rows=60, seed=0, n_features=3, n_used=1)[0]
+        X = da.bin_dataset(ds, da.fit_schema(ds, max_bins=8))
+        if layout != "binned":
+            order, dtype = ("C", np.int32) if layout == "row-major int32" else ("F", np.intp)
+            X = da.BinnedMatrix(np.array(X.codes, dtype=dtype, order=order), X.schema)
+        valid = np.arange(40, 60)
+        _, train_rows, valid_rows, Ct, Cv = _fit_rows(X, ds.score, valid, logistic=False)
+        for C, rows in ((Ct, train_rows), (Cv, valid_rows)):
+            assert C.dtype == np.intp
+            assert C.flags.c_contiguous
+            np.testing.assert_array_equal(C, X.codes[rows].T)
 
 
 class TestRegression:

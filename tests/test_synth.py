@@ -29,6 +29,12 @@ class TestRegistry:
             np.testing.assert_array_equal(a.outcome, b.outcome, err_msg=name)
             assert not np.array_equal(a.score, c.score), name
 
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_fewer_than_one_row_is_a_config_error(self, name, rows):
+        with pytest.raises(da.ConfigError, match=f"n_rows must be at least 1, got {rows}"):
+            GENERATORS[name](n_rows=rows, seed=0)
+
 
 class TestLinearScore:
     def test_score_is_exact_weighted_sum(self):
