@@ -179,11 +179,14 @@ def train_linear(
 class LinearBags:
     """The linear baseline over one bag plan: ``mimic`` holds the linear
     (identity-link) models of the mimic targets and ``outcome`` the logistic
-    models of the labels, one per bag each. ``design`` is the design matrix
-    their ``predict`` reads, with one name per column in ``columns``."""
+    models of the labels, one per bag of ``plan`` each, with ``calibration``
+    the map of the mimic targets. ``design`` is the design matrix their
+    ``predict`` reads, with one name per column in ``columns``."""
 
     mimic: BagEnsemble
     outcome: BagEnsemble
+    plan: BagPlan
+    calibration: CalibrationMap | None
     design: np.ndarray
     columns: list[str]
 
@@ -217,15 +220,10 @@ def train_linear_bags(
         return BagEnsemble([[fit(k, l) for l in range(plan.L)] for k in range(plan.K)], link, schema)
 
     mimic = grid(IDENTITY, mimic_targets(data, calibration), None)
-    return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), A, columns)
+    return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), plan, calibration, A, columns)
 
 
-def linear_fold_metrics(
-    data: AuditDataset,
-    plan: BagPlan,
-    bags: LinearBags,
-    calibration: CalibrationMap | None = None,
-) -> FidelityMetrics:
-    """Fold metrics for trained linear bags, averaged like the additive ones."""
-    A = bags.design
-    return fold_fidelity("linear", data, plan, bags.mimic, bags.outcome, lambda rows: A[rows], calibration)
+def linear_fold_metrics(data: AuditDataset, bags: LinearBags) -> FidelityMetrics:
+    """Fold metrics for trained linear bags on their own plan and map,
+    averaged like the additive ones."""
+    return fold_fidelity("linear", data, bags, lambda rows: bags.design[rows])

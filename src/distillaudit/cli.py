@@ -37,7 +37,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import CALIBRATION_MODES, decide_calibration, diagnose, fit_calibration
-from .data import AuditDataset, LoadConfig, dump_json, fit_schema, load_csv, open_text
+from .data import AuditDataset, LoadConfig, check_seed, dump_json, fit_schema, load_csv, open_text
 from .distill import (
     FidelityMetrics,
     PairedEnsembles,
@@ -283,7 +283,7 @@ def run_audit(
     fidelities = [fidelity(paired, data, name="additive")]
     final = paired
     if train_config.n_pairs > 0:
-        final = with_interactions(paired, data, train_config.n_pairs, train_config, jobs=jobs)
+        final = with_interactions(paired, data, jobs=jobs)
         fidelities.append(fidelity(final, data, name="additive_interactions"))
 
     # The baseline, the missing-feature test and the model files need only
@@ -347,8 +347,7 @@ def _baseline_task(tail: _TailInputs):
     """Linear bags over the audit's plan: their fold metrics and model file names."""
     final = tail.final
     bags = train_linear_bags(tail.data, final.plan, final.calibration, final.schema)
-    metrics = linear_fold_metrics(tail.data, final.plan, bags, final.calibration)
-    return metrics, bags.save_models(tail.out_dir / "models")
+    return linear_fold_metrics(tail.data, bags), bags.save_models(tail.out_dir / "models")
 
 
 def _missing_test_task(tail: _TailInputs) -> dict:
@@ -373,6 +372,7 @@ def cmd_test_missing(args, stage: _Stage) -> int:
     started = time.time()
     stage.at("config")
     check_resamples(args.resamples)
+    check_seed(args.seed)
     stage.at("load")
     pairs = load_error_pairs_csv(args.data)
     stage.at("missing-test")

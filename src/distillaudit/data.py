@@ -181,11 +181,11 @@ def load_json(path: str | Path):
 
 @contextmanager
 def open_text(path: str | Path, what: str, error: type[AuditError] = DataError):
-    """``path`` opened as UTF-8 text for :mod:`csv` or :mod:`json`. A file
-    that is missing, cannot be opened (a directory, say) or does not decode
-    raises ``error`` naming it as ``what``."""
+    """``path`` opened as UTF-8 text for :mod:`csv` or :mod:`json`, a leading
+    byte order mark skipped. A file that is missing, cannot be opened (a
+    directory, say) or does not decode raises ``error`` naming it as ``what``."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}") from exc
     except OSError as exc:
@@ -248,6 +248,8 @@ class LoadConfig(JsonConfig):
             if kind not in (NUMERIC, CATEGORICAL):
                 raise ConfigError(f"feature type for {name!r} must be numeric or categorical, got {kind!r}")
         _check_max_bins(self.max_bins)
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ConfigError(f"delimiter must be one character, not a quote or a line break; got {self.delimiter!r}")
         if self.score_column == self.outcome_column:
             raise ConfigError(f"score_column and outcome_column are both {self.score_column!r}")
         if self.feature_columns is not None:
@@ -260,6 +262,11 @@ class LoadConfig(JsonConfig):
 def _check_max_bins(max_bins: int) -> None:
     if max_bins < 2:
         raise ConfigError("max_bins must be at least 2")
+
+
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 def _repeated(names) -> list[str]:

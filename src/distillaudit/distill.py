@@ -20,14 +20,15 @@ the linear baseline's of :mod:`distillaudit.baseline` included, is a
 Feature pairs are screened once, on bag (0, 0)'s mimic model, and every
 model of both families fits the same pairs. The fitted models are the only
 record of which pairs those are: :mod:`distillaudit.compare` reads them back
-from the models' surfaces.
+from the models' surfaces. The trained ensembles keep their plan, map and
+training config, so the steps after training take the ensembles alone.
 
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
 models through :class:`TaskPool`, which the CLI's post-training stages use
-too. The binned matrix with its schema, the targets, labeled mask, plan and
-config reach each ``--jobs`` worker once, through the pool initializer:
-inherited under ``fork``, pickled once per worker under ``spawn``. A task
-carries its family and bag and, for a pair fit, the bag's main model; models
+too. The binned matrix with its schema, the targets, labeled mask, plan,
+config and, for pair fits, the main ensembles reach each ``--jobs`` worker
+once, through the pool initializer: inherited under ``fork``, pickled once
+per worker under ``spawn``. A task names only its family and bag; models
 cross the pool without their schema, and the calling process rebuilds each
 against the one schema it holds. Each call bins the table into
 column-major int32 codes, and each fit gathers its own bag's rows once,
@@ -222,7 +223,7 @@ class BagEnsemble:
 
 @dataclass
 class PairedEnsembles:
-    """The two ensembles of one audit run plus everything they share."""
+    """The two ensembles of one audit run plus everything they share, their config included."""
 
     mimic: BagEnsemble
     outcome: BagEnsemble
@@ -230,6 +231,7 @@ class PairedEnsembles:
     schema: FeatureSchema
     calibration: CalibrationMap | None
     bin_mass: list[np.ndarray]
+    config: TrainConfig
 
     def save_models(self, directory: str | Path) -> list[str]:
         """Write every model, the bag plan, and the schema as JSON files;
@@ -253,6 +255,7 @@ class _BagData:
     labeled: np.ndarray
     plan: BagPlan
     config: TrainConfig
+    mains: dict[str, BagEnsemble] | None = None  # link -> main ensemble that pair fits extend
     pairs: tuple[tuple[int, int], ...] = ()
 
 
@@ -267,18 +270,18 @@ def _without_schema(model: AdditiveModel) -> dict:
     return {name: value for name, value in vars(model).items() if name != "schema"}
 
 
-def _fit_bag(data: _BagData, link: str, k: int, l: int, base: dict | None) -> dict:
-    """Fit bag (k, l) of one family: main effects, or the pair grids of
-    ``base``, a main model without its schema. Returns the fitted model
-    without its schema."""
+def _fit_bag(data: _BagData, link: str, k: int, l: int) -> dict:
+    """Fit bag (k, l) of one family: main effects, or the pair grids on top
+    of that bag's model in ``data.mains``. Returns the fitted model without
+    its schema."""
     train, valid = bag_split(data.plan, k, l, data.labeled if link == LOGISTIC else None)
     rows = np.concatenate([train, valid])
     local_valid = np.arange(len(train), len(rows))
     X = data.X.take(rows)
     y = data.targets[link][rows]
-    if base is not None:
-        model = AdditiveModel(schema=data.X.schema, **base)
-        model = fit_interactions(model, X, y, data.pairs, data.config, validation=local_valid)
+    if data.mains:
+        main = data.mains[link].models[k][l]
+        model = fit_interactions(main, X, y, data.pairs, data.config, validation=local_valid)
     elif link == IDENTITY:
         model = train_regressor(X, y, data.config, validation=local_valid)
     else:
@@ -330,26 +333,19 @@ class TaskPool:
             self._pool.shutdown(cancel_futures=True)
 
 
-def _fit_grid(data: _BagData, jobs: int, base: PairedEnsembles | None = None) -> dict[str, BagEnsemble]:
+def _fit_grid(data: _BagData, jobs: int) -> dict[str, BagEnsemble]:
     """Fit every bag of both families, in a pool when ``jobs`` > 1; returns
     each family's ensemble, keyed by link.
 
-    Tasks carry only (link, k, l) and, for pair fits, the bag's main model
-    from ``base`` without its schema; the shared data reaches each worker
-    once. Every model returned refers to ``data.X.schema``.
+    Tasks carry only (link, k, l); the shared data reaches each worker once.
+    Every model returned refers to ``data.X.schema``.
     """
     plan = data.plan
-    bases = {} if base is None else {IDENTITY: base.mimic, LOGISTIC: base.outcome}
-    tasks = [
-        (link, k, l, _without_schema(bases[link].models[k][l]) if bases else None)
-        for link in _FAMILIES
-        for k in range(plan.K)
-        for l in range(plan.L)
-    ]
+    tasks = [(link, k, l) for link in _FAMILIES for k in range(plan.K) for l in range(plan.L)]
     with TaskPool(data, jobs) as pool:
         futures = [pool.submit(_fit_bag, *task) for task in tasks]
         grids = {link: [[] for _ in range(plan.K)] for link in _FAMILIES}
-        for (link, k, _, _), f in zip(tasks, futures):  # tasks run through l in order
+        for (link, k, _), f in zip(tasks, futures):  # tasks run through l in order
             grids[link][k].append(AdditiveModel(schema=data.X.schema, **f.result()))
     return {link: BagEnsemble(grid, link, data.X.schema) for link, grid in grids.items()}
 
@@ -382,34 +378,31 @@ def train_paired(
     shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
     mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
     ensembles = _fit_grid(shared, jobs)
-    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass)
+    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass, config)
 
 
-def with_interactions(
-    paired: PairedEnsembles,
-    data: AuditDataset,
-    n_pairs: int,
-    config: TrainConfig | None = None,
-    jobs: int = 1,
-) -> PairedEnsembles:
-    """Extend every model of both ensembles with the same top feature pairs.
+def with_interactions(paired: PairedEnsembles, data: AuditDataset, jobs: int = 1) -> PairedEnsembles:
+    """Extend every model of both ensembles with the same top
+    ``paired.config.n_pairs`` feature pairs, boosted with the settings of
+    ``paired.config``.
 
     Pairs are screened once, by :func:`rank_interaction_pairs` on the
     residuals of bag (0, 0)'s mimic model over its training rows, and
     reused everywhere so that all models remain comparable surface by
     surface; every model lists them, in rank order, in its ``surfaces``.
     """
+    n_pairs = paired.config.n_pairs
     if n_pairs == 0:
         return paired
     check_pair_count(n_pairs, paired.schema.n_features)
-    config = config or TrainConfig()
+    check_plan_rows(paired.plan, data.n_rows)
     X = bin_dataset(data, paired.schema)
-    shared = _bag_data(data, X, paired.calibration, paired.plan, config)
+    shared = _bag_data(data, X, paired.calibration, paired.plan, paired.config)
     train00, _ = bag_split(paired.plan, 0, 0)
     ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=train00)
-    pairs = [(ps.i, ps.j) for ps in ranked[:n_pairs]]
-
-    ensembles = _fit_grid(replace(shared, pairs=tuple(pairs)), jobs, base=paired)
+    pairs = tuple((ps.i, ps.j) for ps in ranked[:n_pairs])
+    mains = {IDENTITY: paired.mimic, LOGISTIC: paired.outcome}
+    ensembles = _fit_grid(replace(shared, mains=mains, pairs=pairs), jobs)
     return replace(paired, mimic=ensembles[IDENTITY], outcome=ensembles[LOGISTIC])
 
 
@@ -451,35 +444,29 @@ def _spread(values: list[float]) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def fold_fidelity(
-    name: str,
-    data: AuditDataset,
-    plan: BagPlan,
-    mimic: BagEnsemble,
-    outcome: BagEnsemble,
-    gather,
-    calibration: CalibrationMap | None,
-) -> FidelityMetrics:
+def fold_fidelity(name: str, data: AuditDataset, ensembles, gather) -> FidelityMetrics:
     """Evaluate per-fold test RMSE against raw scores and AUC against outcomes.
 
-    ``gather(rows)`` returns the input rows the ensembles' models read.
-    Mimic predictions are on the calibrated log-odds scale when a
-    calibration map is in use; they are mapped back before the RMSE. Folds
-    whose labeled test rows hold a single class, or none, are skipped for
-    AUC and counted.
+    ``ensembles`` is a :class:`PairedEnsembles` or the baseline's linear
+    bags: its ``mimic`` and ``outcome`` ensembles, trained on its ``plan``
+    with its ``calibration`` map, are evaluated on that plan's test folds.
+    ``gather(rows)`` returns the input rows their models read. Mimic
+    predictions are on the calibrated log-odds scale when a calibration map
+    is in use; they are mapped back before the RMSE. Folds whose labeled
+    test rows hold a single class, or none, are skipped for AUC and counted.
     """
-    check_plan_rows(plan, data.n_rows)
+    check_plan_rows(ensembles.plan, data.n_rows)
     rmses = []
     aucs = []
     skipped = 0
     labeled = data.has_outcome
-    for k, test in enumerate(plan.test):
-        pred = mimic.predict_fold(k, gather(test))
-        if calibration is not None:
-            pred = calibration.inverse(pred)
+    for k, test in enumerate(ensembles.plan.test):
+        pred = ensembles.mimic.predict_fold(k, gather(test))
+        if ensembles.calibration is not None:
+            pred = ensembles.calibration.inverse(pred)
         rmses.append(rmse(pred, data.score[test]))
         lab = test[labeled[test]]
-        prob = outcome.predict_fold(k, gather(lab))
+        prob = ensembles.outcome.predict_fold(k, gather(lab))
         try:
             aucs.append(auc(data.outcome[lab], prob))
         except DegenerateStatisticsError:
@@ -491,5 +478,4 @@ def fold_fidelity(
 
 def fidelity(paired: PairedEnsembles, data: AuditDataset, name: str = "additive") -> FidelityMetrics:
     """Held-out fidelity of the paired ensembles on their outer test folds."""
-    X = bin_dataset(data, paired.schema)
-    return fold_fidelity(name, data, paired.plan, paired.mimic, paired.outcome, X.take, paired.calibration)
+    return fold_fidelity(name, data, paired, bin_dataset(data, paired.schema).take)

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import BinnedMatrix, FeatureSchema, JsonConfig
+from .data import BinnedMatrix, FeatureSchema, JsonConfig, check_seed
 from .errors import ConfigError, DataError, TrainingError
 from .stats import mean_nll, sigmoid
 
@@ -97,6 +97,7 @@ class TrainConfig(JsonConfig):
         ):
             if not ok:
                 raise ConfigError(rule)
+        check_seed(self.seed)
 
 
 class InteractionSurface:

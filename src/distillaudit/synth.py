@@ -24,15 +24,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import AuditDataset
+from .data import AuditDataset, check_seed
 from .errors import ConfigError
 from .stats import sigmoid
 
 
 def _rng(n_rows: int, seed: int) -> np.random.Generator:
-    """The one generator of a call that draws ``n_rows`` rows, at least 1."""
+    """The one generator of a call that draws ``n_rows`` rows, at least 1,
+    from a non-negative ``seed``."""
     if n_rows < 1:
         raise ConfigError(f"n_rows must be at least 1, got {n_rows}")
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -183,10 +183,23 @@ class TestLinearBags:
     def test_fold_metrics_near_zero_rmse_on_linear_score(self):
         data = self.dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        fm = linear_fold_metrics(data, plan, train_linear_bags(data, plan))
+        fm = linear_fold_metrics(data, train_linear_bags(data, plan))
         assert fm.name == "linear"
         assert fm.score_rmse_mean < 1e-3
         assert fm.outcome_auc_mean > 0.7
+
+    def test_fold_metrics_read_the_plan_and_map_the_bags_trained_on(self):
+        data, _ = da.gen_kinked_score(n_rows=3000, seed=0)
+        cmap = da.fit_calibration(data.score, data.outcome)
+        plan = da.plan_bags(data.n_rows, K=3, L=2, seed=0)
+        bags = train_linear_bags(data, plan, cmap)
+        assert bags.plan is plan and bags.calibration is cmap
+        fm = linear_fold_metrics(data, bags)
+        expected = [
+            np.sqrt(np.mean((cmap.inverse(bags.mimic.predict_fold(k, bags.design[test])) - data.score[test]) ** 2))
+            for k, test in enumerate(plan.test)
+        ]
+        np.testing.assert_allclose(fm.score_rmse_folds, expected, rtol=1e-12)
 
     def test_models_saved_per_bag(self, tmp_path):
         data = self.dataset(n=300)

@@ -449,6 +449,7 @@ class TestExitCodes:
         ("load", "feature_columns", "x1"),
         ("train", "max_rounds", 2.5),
         ("train", "n_pairs", True),
+        ("load", "delimiter", ";;"),
     ])
     def test_wrong_config_value(self, tmp_path, capsys, section, key, value):
         data = write_kinked(tmp_path, rows=600)
@@ -532,6 +533,25 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "error[config]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, tag", [
+        (["audit", "--data", "DATA", "--K", "2", "--L", "2"], "config"),
+        (["test-missing", "--data", "DATA"], "config"),
+        (["gen-synthetic", "--kind", "kinked-score", "--rows", "600"], "generate"),
+    ], ids=["audit", "test-missing", "gen-synthetic"])
+    def test_negative_seed_stops_before_any_file(self, tmp_path, capsys, argv, tag):
+        data = str(write_kinked(tmp_path, rows=600))
+        argv = [data if a == "DATA" else a for a in argv]
+        assert run([*argv, "--seed", "-1", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error[{tag}]: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_with_a_byte_order_mark_reads_like_its_plain_twin(self, tmp_path):
+        text = json.dumps({"load": {"max_bins": 8}, "train": {"max_rounds": 3}})
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert cli._read_config_file(str(marked)) == cli._read_config_file(str(plain))
 
     def test_too_few_resamples(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"

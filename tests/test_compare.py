@@ -197,7 +197,7 @@ class TestSurfacesAndSerialization:
         plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=0)
         config = da.TrainConfig(learning_rate=0.15, max_rounds=300, seed=0, n_pairs=1)
         paired = da.train_paired(ds, plan=plan, config=config)
-        paired = da.with_interactions(paired, ds, n_pairs=1, config=config)
+        paired = da.with_interactions(paired, ds)
         summary = da.summarize(paired)
         assert len(summary.surfaces) == 1
         sc = summary.surfaces[0]
@@ -208,13 +208,13 @@ class TestSurfacesAndSerialization:
     def test_surfaces_in_screening_order_and_calibrated_from_the_map(self):
         ds, _ = da.gen_interaction(n_rows=800, seed=1)
         plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=1)
-        config = da.TrainConfig(learning_rate=0.2, max_rounds=20, seed=1)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=20, seed=1, n_pairs=3)
         train00, _ = bag_split(plan, 0, 0)
         for cmap in (None, da.fit_calibration(ds.score, ds.outcome)):
             paired = da.train_paired(ds, calibration=cmap, plan=plan, config=config)
             X = da.bin_dataset(ds, paired.schema)
             ranked = da.rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets(ds, cmap), rows=train00)
-            summary = da.summarize(da.with_interactions(paired, ds, 3, config))
+            summary = da.summarize(da.with_interactions(paired, ds))
             assert [(sc.i, sc.j) for sc in summary.surfaces] == [(ps.i, ps.j) for ps in ranked[:3]]
             assert summary.calibrated == (cmap is not None)
 
@@ -237,10 +237,10 @@ def pair_fit(K, L, max_bins=128, seed=0):
     """Paired ensembles with one fitted pair over a K x L bag grid, trained briefly."""
     ds, _ = da.gen_interaction(n_rows=600, seed=seed)
     schema = da.fit_schema(ds, max_bins=max_bins)
-    config = da.TrainConfig(learning_rate=0.1, max_rounds=3, seed=seed)
+    config = da.TrainConfig(learning_rate=0.1, max_rounds=3, seed=seed, n_pairs=1)
     plan = da.plan_bags(ds.n_rows, K=K, L=L, seed=seed)
     paired = da.train_paired(ds, plan=plan, config=config, schema=schema)
-    return da.with_interactions(paired, ds, n_pairs=1, config=config)
+    return da.with_interactions(paired, ds)
 
 
 def stacked_surface(ensemble, i, j):

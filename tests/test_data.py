@@ -267,6 +267,20 @@ class TestLoader:
         with pytest.raises(da.ConfigError, match=message):
             da.LoadConfig(**fields)
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n", '"'], ids=["two", "none", "newline", "quote"])
+    def test_delimiter_is_one_character_not_a_quote_or_line_break(self, delimiter):
+        with pytest.raises(da.ConfigError, match="delimiter must be one character"):
+            da.LoadConfig(delimiter=delimiter)
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        text = "score,x,outcome\n10,1.5,1\n20,2.5,0\n"
+        plain = da.load_csv(self.write(tmp_path, text))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = da.load_csv(tmp_path / "bom.csv")
+        assert marked.feature_names == plain.feature_names == ("x",)
+        np.testing.assert_array_equal(marked.score, plain.score)
+        np.testing.assert_array_equal(marked.columns["x"], plain.columns["x"])
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(da.ConfigError, match="unknown"):
             da.LoadConfig.from_dict({"score_column": "s", "bogus": 1})

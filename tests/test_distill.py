@@ -215,10 +215,10 @@ class TestPairedTraining:
     def test_parallel_interactions_match_sequential(self):
         data = small_dataset(score_only=60)
         plan = da.plan_bags(data.n_rows, K=2, L=3, seed=0)
-        config = da.TrainConfig(learning_rate=0.2, max_rounds=60, patience=10, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=60, patience=10, seed=0, n_pairs=1)
         paired = da.train_paired(data, plan=plan, config=config)
-        seq = da.with_interactions(paired, data, 1, config, jobs=1)
-        par = da.with_interactions(paired, data, 1, config, jobs=2)
+        seq = da.with_interactions(paired, data, jobs=1)
+        par = da.with_interactions(paired, data, jobs=2)
         assert model_bytes(seq) == model_bytes(par)
         assert all(m.surfaces for fold in par.outcome.models for m in fold)
 
@@ -232,9 +232,9 @@ class TestPairedTraining:
         monkeypatch.setattr(da.FeatureSchema, "__reduce_ex__", refuse)
         data = small_dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0, n_pairs=1)
         paired = da.train_paired(data, plan=plan, config=config, jobs=2)
-        for result in (paired, da.with_interactions(paired, data, 1, config, jobs=2)):
+        for result in (paired, da.with_interactions(paired, data, jobs=2)):
             assert result.schema is paired.schema
             models = [m for ens in (result.mimic, result.outcome) for fold in ens.models for m in fold]
             assert len(models) == 8
@@ -254,11 +254,11 @@ class TestPairedTraining:
                 multiprocessing.set_start_method("spawn", force=True)
                 data = small_dataset(score_only=40)
                 plan = da.plan_bags(data.n_rows, K=2, L=2, seed=1)
-                config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=1)
+                config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=1, n_pairs=1)
                 out = []
                 for jobs in (1, 2):
                     paired = da.train_paired(data, plan=plan, config=config, jobs=jobs)
-                    out.append(model_bytes(da.with_interactions(paired, data, 1, config, jobs=jobs)))
+                    out.append(model_bytes(da.with_interactions(paired, data, jobs=jobs)))
                 print(out[0] == out[1], multiprocessing.get_start_method())
             """
         ).replace("SRC", repr(str(Path(da.__file__).resolve().parents[1]))).replace(
@@ -336,22 +336,38 @@ class TestPairedTraining:
         data = small_dataset()
         cmap = da.fit_calibration(data.score, data.outcome)
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0)
+        config = da.TrainConfig(learning_rate=0.2, max_rounds=40, seed=0, n_pairs=1)
         paired = da.train_paired(data, calibration=cmap, plan=plan, config=config)
-        extended = da.with_interactions(paired, data, 1, config)
-        for name in ("plan", "schema", "calibration", "bin_mass"):
+        extended = da.with_interactions(paired, data)
+        for name in ("plan", "schema", "calibration", "bin_mass", "config"):
             assert getattr(extended, name) is getattr(paired, name)
         models = [m for ens in (extended.mimic, extended.outcome) for fold in ens.models for m in fold]
         assert all(len(m.surfaces) == 1 for m in models)
         assert (extended.mimic.link, extended.outcome.link) == (IDENTITY, LOGISTIC)
 
+    def test_pair_fits_train_with_the_ensembles_config(self):
+        data, _ = da.gen_interaction(n_rows=800, seed=0)
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        config = da.TrainConfig(learning_rate=0.1, max_rounds=40, n_pairs=1)
+        paired = da.train_paired(data, plan=plan, config=config)
+        extended = da.with_interactions(paired, data)
+        models = [m for ens in (extended.mimic, extended.outcome) for fold in ens.models for m in fold]
+        assert all(m.metadata["interaction_rounds_run"] <= 40 for m in models)
+
+    def test_pairs_on_a_table_of_another_row_count_rejected(self):
+        data = small_dataset()
+        plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
+        paired = da.train_paired(data, plan=plan, config=da.TrainConfig(max_rounds=5, n_pairs=1))
+        with pytest.raises(da.DataError, match="bag plan was made for a different number of rows"):
+            da.with_interactions(paired, small_dataset(n_rows=800))
+
     def test_too_many_pairs_rejected(self):
         data = small_dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        config = da.TrainConfig(max_rounds=5)
+        config = da.TrainConfig(max_rounds=5, n_pairs=2)
         paired = da.train_paired(data, plan=plan, config=config)
         with pytest.raises(da.ConfigError, match="exceeds the 1 available pairs"):
-            da.with_interactions(paired, data, 2, config)
+            da.with_interactions(paired, data)
 
     def test_plan_row_count_mismatch_rejected(self):
         data = small_dataset()
@@ -425,7 +441,7 @@ class TestFidelity:
         outcome[plan.test[0]] = np.nan
         data = relabeled(data, outcome)
         paired = da.train_paired(data, plan=plan, config=da.TrainConfig(learning_rate=0.1, max_rounds=20))
-        linear = da.linear_fold_metrics(data, plan, da.train_linear_bags(data, plan))
+        linear = da.linear_fold_metrics(data, da.train_linear_bags(data, plan))
         for fm in (da.fidelity(paired, data), linear):
             assert fm.n_auc_folds_skipped == 1
             assert len(fm.outcome_auc_folds) == 2 and len(fm.score_rmse_folds) == 3

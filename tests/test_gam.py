@@ -293,6 +293,10 @@ class TestModelObject:
         with pytest.raises(da.ConfigError):
             da.TrainConfig.from_dict({"learning_rate": 0.1, "bogus": 2})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(da.ConfigError, match="seed must be non-negative, got -1"):
+            da.TrainConfig(seed=-1)
+
 
 class TestSurfaceStorage:
     """A pair grid is stored as its distinct values plus a per-cell index and

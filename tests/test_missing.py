@@ -339,6 +339,14 @@ class TestErrorPairs:
         with pytest.raises(da.DataError, match="columns"):
             load_error_pairs_csv(bad)
 
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        text = "fold,mimic_abs_error,outcome_abs_error\n0,0.5,0.25\n1,0.125,0.75\n"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        loaded = load_error_pairs_csv(marked)
+        np.testing.assert_array_equal(loaded.fold_ids, [0, 1])
+        np.testing.assert_array_equal(loaded.mimic_error, [0.5, 0.125])
+
 
 class TestHiddenFeatureDetection:
     def test_hidden_input_detected_and_control_clear(self):

@@ -35,6 +35,11 @@ class TestRegistry:
         with pytest.raises(da.ConfigError, match=f"n_rows must be at least 1, got {rows}"):
             GENERATORS[name](n_rows=rows, seed=0)
 
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_negative_seed_is_a_config_error(self, name):
+        with pytest.raises(da.ConfigError, match="seed must be non-negative, got -2"):
+            GENERATORS[name](n_rows=50, seed=-2)
+
 
 class TestLinearScore:
     def test_score_is_exact_weighted_sum(self):
