@@ -17,7 +17,7 @@ def run_arm(hidden: bool) -> da.CorrelationTest:
     paired = da.train_paired(
         ds, plan=plan, config=cfg, schema=da.fit_schema(ds, max_bins=32), jobs=2
     )
-    pairs = da.error_pairs(paired, ds)
+    pairs = da.error_pairs(paired)
     return da.correlation_test(pairs.mimic_error, pairs.outcome_error, seed=0)
 
 

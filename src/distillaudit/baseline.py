@@ -180,8 +180,9 @@ class LinearBags:
     """The linear baseline over one bag plan: ``mimic`` holds the linear
     (identity-link) models of the mimic targets and ``outcome`` the logistic
     models of the labels, one per bag of ``plan`` each, with ``calibration``
-    the map of the mimic targets. ``design`` is the design matrix their
-    ``predict`` reads, with one name per column in ``columns``."""
+    the map of the mimic targets and ``data`` the table they were trained on.
+    ``design`` is the design matrix their ``predict`` reads, with one name
+    per column in ``columns``."""
 
     mimic: BagEnsemble
     outcome: BagEnsemble
@@ -189,6 +190,7 @@ class LinearBags:
     calibration: CalibrationMap | None
     design: np.ndarray
     columns: list[str]
+    data: AuditDataset
 
     def save_models(self, directory: str | Path) -> list[str]:
         """Write every model as a JSON file; returns their names."""
@@ -220,10 +222,10 @@ def train_linear_bags(
         return BagEnsemble([[fit(k, l) for l in range(plan.L)] for k in range(plan.K)], link, schema)
 
     mimic = grid(IDENTITY, mimic_targets(data, calibration), None)
-    return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), plan, calibration, A, columns)
+    return LinearBags(mimic, grid(LOGISTIC, data.outcome, data.has_outcome), plan, calibration, A, columns, data)
 
 
-def linear_fold_metrics(data: AuditDataset, bags: LinearBags) -> FidelityMetrics:
-    """Fold metrics for trained linear bags on their own plan and map,
-    averaged like the additive ones."""
-    return fold_fidelity("linear", data, bags, lambda rows: bags.design[rows])
+def linear_fold_metrics(bags: LinearBags) -> FidelityMetrics:
+    """Fold metrics for trained linear bags on their own table, plan and
+    map, averaged like the additive ones."""
+    return fold_fidelity("linear", bags, lambda rows: bags.design[rows])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateStatisticsError
+from .errors import ConfigError, DataError, DegenerateStatisticsError
 from .stats import weighted_line_fit
 
 AUTO_LINEARITY_THRESHOLD = 0.15
@@ -239,7 +239,7 @@ def decide_calibration(diagnostics: CalibrationDiagnostics, mode: str) -> dict:
     the raw score is visibly non-linear in the log odds.
     """
     if mode not in CALIBRATION_MODES:
-        raise DataError(f"calibration mode must be auto, on, or off, got {mode!r}")
+        raise ConfigError(f"calibration mode must be auto, on, or off, got {mode!r}")
     rmse = diagnostics.logit_rmse
     if mode == "on":
         applied, reason = True, "forced on"

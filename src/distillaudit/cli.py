@@ -23,7 +23,6 @@ serial run.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -37,7 +36,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .baseline import linear_fold_metrics, train_linear_bags
 from .calibrate import CALIBRATION_MODES, decide_calibration, diagnose, fit_calibration
-from .data import AuditDataset, LoadConfig, check_seed, dump_json, fit_schema, load_csv, open_text
+from .data import AuditDataset, LoadConfig, check_seed, dump_json, fit_schema, load_csv, load_json
 from .distill import (
     FidelityMetrics,
     PairedEnsembles,
@@ -130,11 +129,7 @@ def _read_config_file(path: str | None) -> tuple[dict, dict]:
     the only keys it may hold; each is optional."""
     if path is None:
         return {}, {}
-    with open_text(path, "config file", ConfigError) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    d = load_json(path, "config file", ConfigError)
     if not isinstance(d, dict):
         raise ConfigError("config file must contain a JSON object")
     extra = set(d) - {"load", "train"}
@@ -280,18 +275,18 @@ def run_audit(
 
     stage.at("train")
     paired = train_paired(data, cmap, plan, train_config, schema, jobs=jobs)
-    fidelities = [fidelity(paired, data, name="additive")]
+    fidelities = [fidelity(paired, name="additive")]
     final = paired
     if train_config.n_pairs > 0:
-        final = with_interactions(paired, data, jobs=jobs)
-        fidelities.append(fidelity(final, data, name="additive_interactions"))
+        final = with_interactions(paired, jobs=jobs)
+        fidelities.append(fidelity(final, name="additive_interactions"))
 
     # The baseline, the missing-feature test and the model files need only
     # the trained ensembles, so they run on the workers while this process
     # compares the ensembles and writes the curves and plots. With jobs=1
     # each task runs when submitted, in the serial order.
     stage.at("baseline")
-    with TaskPool(_TailInputs(data, final, out_dir), jobs) as pool:
+    with TaskPool(_TailInputs(final, out_dir), jobs) as pool:
         baseline = pool.submit(_measured, _baseline_task)
 
         stage.at("compare")
@@ -333,7 +328,6 @@ def run_audit(
 class _TailInputs(NamedTuple):
     """What the post-training tasks of an audit share."""
 
-    data: AuditDataset
     final: PairedEnsembles
     out_dir: Path
 
@@ -346,14 +340,14 @@ def _measured(tail: _TailInputs, task):
 def _baseline_task(tail: _TailInputs):
     """Linear bags over the audit's plan: their fold metrics and model file names."""
     final = tail.final
-    bags = train_linear_bags(tail.data, final.plan, final.calibration, final.schema)
-    return linear_fold_metrics(tail.data, bags), bags.save_models(tail.out_dir / "models")
+    bags = train_linear_bags(final.data, final.plan, final.calibration, final.schema)
+    return linear_fold_metrics(bags), bags.save_models(tail.out_dir / "models")
 
 
 def _missing_test_task(tail: _TailInputs) -> dict:
     """The report's missing-feature section: the test of the held-out error
     pairs, or why it was skipped. The pairs go to error_pairs.csv."""
-    pairs = error_pairs(tail.final, tail.data)
+    pairs = error_pairs(tail.final)
     try:
         missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=tail.final.plan.seed).to_json_dict()
     except DegenerateStatisticsError as exc:

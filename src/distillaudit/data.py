@@ -83,24 +83,15 @@ def _array_texts(a: np.ndarray) -> list[str]:
     return list(map(int.__repr__, a.ravel().tolist()))
 
 
-class _Formatted(list):
-    """A flat list of scalars that carries its items' JSON texts."""
+class JsonText(dict):
+    """A dict that carries its JSON text, formatted once, for :func:`dump_json`
+    to write into many documents; to any other reader it is a plain dict."""
 
-    def __init__(self, items: list, texts: list[str]) -> None:
-        super().__init__(items)
-        self.texts = texts
-
-
-def preformat(obj):
-    """``obj`` with each flat list of scalars formatted once, for
-    :func:`dump_json` to write into many documents; to any other reader
-    the lists are unchanged."""
-    if isinstance(obj, dict):
-        return {k: preformat(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        texts = list(map(_scalar_text, obj))
-        return _Formatted(obj, texts) if None not in texts else [preformat(v) for v in obj]
-    return obj
+    def __init__(self, obj: dict) -> None:
+        super().__init__(obj)
+        parts = []
+        _write_json(parts.append, obj, "\n")
+        self.text = "".join(parts)
 
 
 def _write_nested(write, texts: list[str], shape: tuple[int, ...], nl: str) -> None:
@@ -122,8 +113,8 @@ def _write_nested(write, texts: list[str], shape: tuple[int, ...], nl: str) -> N
 
 def _write_json(write, obj, nl: str) -> None:
     """Write ``obj`` as indented JSON; ``nl`` is a newline plus the current indent."""
-    text = _scalar_text(obj)
-    if text is not None:
+    text = obj.text.replace("\n", nl) if isinstance(obj, JsonText) else _scalar_text(obj)
+    if text is not None:  # a JsonText's line breaks are all indentation: strings escape theirs
         write(text)
         return
     inner = nl + "  "
@@ -143,7 +134,7 @@ def _write_json(write, obj, nl: str) -> None:
         else:
             _write_json(write, obj.tolist(), nl)
     elif isinstance(obj, (list, tuple)):
-        texts = obj.texts if isinstance(obj, _Formatted) else list(map(_scalar_text, obj))
+        texts = list(map(_scalar_text, obj))
         if None not in texts:
             _write_nested(write, texts, (len(texts),), nl)
             return
@@ -174,9 +165,14 @@ def dump_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def load_json(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path: str | Path, what: str = "JSON file", error: type[AuditError] = DataError):
+    """The JSON value in ``path``, read through :func:`open_text`; a file
+    that is not JSON raises ``error`` naming it as ``what``."""
+    with open_text(path, what, error) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 @contextmanager

@@ -20,8 +20,8 @@ the linear baseline's of :mod:`distillaudit.baseline` included, is a
 Feature pairs are screened once, on bag (0, 0)'s mimic model, and every
 model of both families fits the same pairs. The fitted models are the only
 record of which pairs those are: :mod:`distillaudit.compare` reads them back
-from the models' surfaces. The trained ensembles keep their plan, map and
-training config, so the steps after training take the ensembles alone.
+from the models' surfaces. The trained ensembles keep their table, plan, map
+and training config, so the steps after training take the ensembles alone.
 
 Both :func:`train_paired` and :func:`with_interactions` fit their 2 x K x L
 models through :class:`TaskPool`, which the CLI's post-training stages use
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationMap
-from .data import AuditDataset, BinnedMatrix, FeatureSchema, bin_dataset, dump_json, fit_schema, preformat
+from .data import AuditDataset, BinnedMatrix, FeatureSchema, JsonText, bin_dataset, check_seed, dump_json, fit_schema
 from .errors import ConfigError, DataError, DegenerateStatisticsError, TrainingError
 from .gam import (
     IDENTITY,
@@ -109,15 +109,11 @@ def check_pair_count(n_pairs: int, n_features: int) -> None:
         raise ConfigError(f"n_pairs={n_pairs} exceeds the {available} available pairs")
 
 
-def check_plan_rows(plan: BagPlan, n_rows: int) -> None:
-    if plan.n_rows != n_rows:
-        raise DataError("bag plan was made for a different number of rows")
-
-
 def check_bags(plan: BagPlan, data: AuditDataset) -> None:
     """``plan`` was made for ``data``, which has a labeled row, and every bag
     has labeled validation rows and labeled training rows of both classes."""
-    check_plan_rows(plan, data.n_rows)
+    if plan.n_rows != data.n_rows:
+        raise DataError("bag plan was made for a different number of rows")
     labeled = data.has_outcome
     if not labeled.any():
         raise DataError("no labeled rows; the outcome ensemble cannot be trained")
@@ -139,6 +135,7 @@ def plan_bags(n_rows: int, K: int = 5, L: int = 5, seed: int = 0) -> BagPlan:
     All index arrays come back sorted.
     """
     check_bag_grid(K, L)
+    check_seed(seed)
     if not MIN_ROWS <= n_rows < 2**31:  # row indices are int32
         raise DataError(f"need {MIN_ROWS} to {2**31 - 1} rows to split into bags, got {n_rows}")
     n_test = round(TEST_FRACTION * n_rows)
@@ -223,7 +220,8 @@ class BagEnsemble:
 
 @dataclass
 class PairedEnsembles:
-    """The two ensembles of one audit run plus everything they share, their config included."""
+    """The two ensembles of one audit run plus everything they share, the
+    table they were trained on and their config included."""
 
     mimic: BagEnsemble
     outcome: BagEnsemble
@@ -232,13 +230,14 @@ class PairedEnsembles:
     calibration: CalibrationMap | None
     bin_mass: list[np.ndarray]
     config: TrainConfig
+    data: AuditDataset
 
     def save_models(self, directory: str | Path) -> list[str]:
         """Write every model, the bag plan, and the schema as JSON files;
         returns their names. The schema, which every model file embeds, is
         formatted once."""
         directory = Path(directory)
-        schema = preformat(self.schema.to_json_dict())
+        schema = JsonText(self.schema.to_json_dict())
         models = self.mimic.save_models(directory, "mimic", {"schema": schema})
         models += self.outcome.save_models(directory, "outcome", {"schema": schema})
         dump_json(directory / "plan.json", self.plan.to_json_dict())
@@ -378,10 +377,10 @@ def train_paired(
     shared = _bag_data(data, bin_dataset(data, schema), calibration, plan, config)
     mass = [shared.X.bin_mass(j) for j in range(schema.n_features)]
     ensembles = _fit_grid(shared, jobs)
-    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass, config)
+    return PairedEnsembles(ensembles[IDENTITY], ensembles[LOGISTIC], plan, schema, calibration, mass, config, data)
 
 
-def with_interactions(paired: PairedEnsembles, data: AuditDataset, jobs: int = 1) -> PairedEnsembles:
+def with_interactions(paired: PairedEnsembles, jobs: int = 1) -> PairedEnsembles:
     """Extend every model of both ensembles with the same top
     ``paired.config.n_pairs`` feature pairs, boosted with the settings of
     ``paired.config``.
@@ -395,9 +394,8 @@ def with_interactions(paired: PairedEnsembles, data: AuditDataset, jobs: int = 1
     if n_pairs == 0:
         return paired
     check_pair_count(n_pairs, paired.schema.n_features)
-    check_plan_rows(paired.plan, data.n_rows)
-    X = bin_dataset(data, paired.schema)
-    shared = _bag_data(data, X, paired.calibration, paired.plan, paired.config)
+    X = bin_dataset(paired.data, paired.schema)
+    shared = _bag_data(paired.data, X, paired.calibration, paired.plan, paired.config)
     train00, _ = bag_split(paired.plan, 0, 0)
     ranked = rank_interaction_pairs(paired.mimic.models[0][0], X, shared.targets[IDENTITY], rows=train00)
     pairs = tuple((ps.i, ps.j) for ps in ranked[:n_pairs])
@@ -437,25 +435,24 @@ class FidelityMetrics:
 
 
 def _spread(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return float("nan"), float("nan")
     if len(values) == 1:
         return values[0], 0.0
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def fold_fidelity(name: str, data: AuditDataset, ensembles, gather) -> FidelityMetrics:
+def fold_fidelity(name: str, ensembles, gather) -> FidelityMetrics:
     """Evaluate per-fold test RMSE against raw scores and AUC against outcomes.
 
     ``ensembles`` is a :class:`PairedEnsembles` or the baseline's linear
-    bags: its ``mimic`` and ``outcome`` ensembles, trained on its ``plan``
-    with its ``calibration`` map, are evaluated on that plan's test folds.
+    bags: its ``mimic`` and ``outcome`` ensembles, trained on its ``data``
+    over its ``plan`` with its ``calibration`` map, are evaluated on that
+    plan's test folds.
     ``gather(rows)`` returns the input rows their models read. Mimic
     predictions are on the calibrated log-odds scale when a calibration map
     is in use; they are mapped back before the RMSE. Folds whose labeled
     test rows hold a single class, or none, are skipped for AUC and counted.
     """
-    check_plan_rows(ensembles.plan, data.n_rows)
+    data = ensembles.data
     rmses = []
     aucs = []
     skipped = 0
@@ -476,6 +473,6 @@ def fold_fidelity(name: str, data: AuditDataset, ensembles, gather) -> FidelityM
     return FidelityMetrics(name, rmse_mean, rmse_std, rmses, auc_mean, auc_std, aucs, skipped)
 
 
-def fidelity(paired: PairedEnsembles, data: AuditDataset, name: str = "additive") -> FidelityMetrics:
+def fidelity(paired: PairedEnsembles, name: str = "additive") -> FidelityMetrics:
     """Held-out fidelity of the paired ensembles on their outer test folds."""
-    return fold_fidelity(name, data, paired, bin_dataset(data, paired.schema).take)
+    return fold_fidelity(name, paired, bin_dataset(paired.data, paired.schema).take)

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AuditDataset, bin_dataset, open_text
-from .distill import PairedEnsembles, check_plan_rows, mimic_targets
+from .data import bin_dataset, check_seed, open_text
+from .distill import PairedEnsembles, mimic_targets
 from .errors import ConfigError, DataError, DegenerateStatisticsError
 from .stats import average_ranks
 
@@ -91,7 +91,7 @@ def load_error_pairs_csv(path: str | Path) -> ErrorPairs:
     return ErrorPairs(np.asarray(me), np.asarray(oe), np.asarray(folds), 0, 0)
 
 
-def error_pairs(paired: PairedEnsembles, data: AuditDataset) -> ErrorPairs:
+def error_pairs(paired: PairedEnsembles) -> ErrorPairs:
     """Held-out error pairs, one per labeled row seen by some test fold.
 
     A row appearing in several outer test folds is scored by the lowest fold
@@ -99,7 +99,7 @@ def error_pairs(paired: PairedEnsembles, data: AuditDataset) -> ErrorPairs:
     the mimic target scale (calibrated log odds when calibration applied,
     raw score otherwise); outcome errors are |probability - outcome|.
     """
-    check_plan_rows(paired.plan, data.n_rows)
+    data = paired.data
     X = bin_dataset(data, paired.schema)
     fold_of = np.full(data.n_rows, -1)
     for k in reversed(range(paired.plan.K)):
@@ -354,6 +354,7 @@ def correlation_test(
     exclude it.
     """
     check_resamples(resamples)
+    check_seed(seed)
     a = np.asarray(mimic_error, dtype=float)
     b = np.asarray(outcome_error, dtype=float)
     if len(a) != len(b):

@@ -207,7 +207,7 @@ def _hidden_error_pairs(hidden: bool) -> da.ErrorPairs:
     paired = da.train_paired(
         ds, plan=plan, config=cfg, schema=da.fit_schema(ds, max_bins=32), jobs=4
     )
-    return da.error_pairs(paired, ds)
+    return da.error_pairs(paired)
 
 
 def test_criterion_07_missing_feature_test_behavior():
@@ -315,12 +315,12 @@ def test_criterion_09_real_data_spot_check():
     cfg = da.TrainConfig(learning_rate=0.1, max_rounds=400, patience=50)
     plan = da.plan_bags(ds.n_rows, K=5, L=5, seed=0)
     paired = da.train_paired(ds, calibration=cmap, plan=plan, config=cfg, jobs=4)
-    metrics = da.fidelity(paired, ds)
+    metrics = da.fidelity(paired)
 
     assert 0.74 - 0.03 <= metrics.outcome_auc_mean <= 0.74 + 0.03
     assert 2.01 - 0.10 <= metrics.score_rmse_mean <= 2.01 + 0.10
 
-    pairs = da.error_pairs(paired, ds)
+    pairs = da.error_pairs(paired)
     res = da.correlation_test(pairs.mimic_error, pairs.outcome_error, seed=0)
     for name in ("pearson", "spearman", "kendall"):
         assert getattr(res, name).lower >= 0.05, name

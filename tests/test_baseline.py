@@ -183,7 +183,7 @@ class TestLinearBags:
     def test_fold_metrics_near_zero_rmse_on_linear_score(self):
         data = self.dataset()
         plan = da.plan_bags(data.n_rows, K=2, L=2, seed=0)
-        fm = linear_fold_metrics(data, train_linear_bags(data, plan))
+        fm = linear_fold_metrics(train_linear_bags(data, plan))
         assert fm.name == "linear"
         assert fm.score_rmse_mean < 1e-3
         assert fm.outcome_auc_mean > 0.7
@@ -193,8 +193,8 @@ class TestLinearBags:
         cmap = da.fit_calibration(data.score, data.outcome)
         plan = da.plan_bags(data.n_rows, K=3, L=2, seed=0)
         bags = train_linear_bags(data, plan, cmap)
-        assert bags.plan is plan and bags.calibration is cmap
-        fm = linear_fold_metrics(data, bags)
+        assert bags.plan is plan and bags.calibration is cmap and bags.data is data
+        fm = linear_fold_metrics(bags)
         expected = [
             np.sqrt(np.mean((cmap.inverse(bags.mimic.predict_fold(k, bags.design[test])) - data.score[test]) ** 2))
             for k, test in enumerate(plan.test)

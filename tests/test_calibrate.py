@@ -219,7 +219,7 @@ class TestDiagnostics:
         assert da.decide_calibration(diag, "auto")["applied"]
         assert da.decide_calibration(diag, "on")["applied"]
         assert not da.decide_calibration(diag, "off")["applied"]
-        with pytest.raises(da.DataError):
+        with pytest.raises(da.ConfigError):
             da.decide_calibration(diag, "maybe")
 
     def test_diagnostics_csv_written(self, tmp_path):

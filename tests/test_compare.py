@@ -197,7 +197,7 @@ class TestSurfacesAndSerialization:
         plan = da.plan_bags(ds.n_rows, K=2, L=2, seed=0)
         config = da.TrainConfig(learning_rate=0.15, max_rounds=300, seed=0, n_pairs=1)
         paired = da.train_paired(ds, plan=plan, config=config)
-        paired = da.with_interactions(paired, ds)
+        paired = da.with_interactions(paired)
         summary = da.summarize(paired)
         assert len(summary.surfaces) == 1
         sc = summary.surfaces[0]
@@ -214,7 +214,7 @@ class TestSurfacesAndSerialization:
             paired = da.train_paired(ds, calibration=cmap, plan=plan, config=config)
             X = da.bin_dataset(ds, paired.schema)
             ranked = da.rank_interaction_pairs(paired.mimic.models[0][0], X, mimic_targets(ds, cmap), rows=train00)
-            summary = da.summarize(da.with_interactions(paired, ds))
+            summary = da.summarize(da.with_interactions(paired))
             assert [(sc.i, sc.j) for sc in summary.surfaces] == [(ps.i, ps.j) for ps in ranked[:3]]
             assert summary.calibrated == (cmap is not None)
 
@@ -240,7 +240,7 @@ def pair_fit(K, L, max_bins=128, seed=0):
     config = da.TrainConfig(learning_rate=0.1, max_rounds=3, seed=seed, n_pairs=1)
     plan = da.plan_bags(ds.n_rows, K=K, L=L, seed=seed)
     paired = da.train_paired(ds, plan=plan, config=config, schema=schema)
-    return da.with_interactions(paired, ds)
+    return da.with_interactions(paired)
 
 
 def stacked_surface(ensemble, i, j):

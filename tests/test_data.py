@@ -100,6 +100,20 @@ class TestSchema:
         loaded = da.FeatureSchema.from_json_dict(load_json(path))
         assert loaded == schema
 
+    def test_load_json_skips_a_byte_order_mark_and_names_a_bad_file(self, tmp_path):
+        ds = make_numeric_dataset(np.arange(100.0))
+        plain = tmp_path / "schema.json"
+        dump_json(plain, da.fit_schema(ds, max_bins=8).to_json_dict())
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_json(marked) == load_json(plain)
+        with pytest.raises(da.DataError, match="model file not found"):
+            load_json(tmp_path / "absent.json", "model file")
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"format_version": 1,')
+        with pytest.raises(da.DataError, match="^JSON file is not valid JSON: "):
+            load_json(broken)
+
 
 class TestBinning:
     def test_matches_count_oracle_on_every_edge_case(self):

@@ -89,6 +89,8 @@ class TestCorrelationTest:
             da.correlation_test(bad, ok)
         with pytest.raises(da.ConfigError, match="resamples must be at least 100, got 50"):
             da.correlation_test(ok, ok, resamples=50)
+        with pytest.raises(da.ConfigError, match="seed must be non-negative, got -1"):
+            da.correlation_test(ok, ok[::-1], seed=-1)
         # Each margin varies in one row only, so most resamples miss one of them.
         lone = np.zeros(30)
         lone[0] = 1.0
@@ -283,30 +285,30 @@ def hidden_pipeline(strength, hidden, n_rows=4000, seed=0):
     config = da.TrainConfig(learning_rate=0.15, max_rounds=300, seed=seed)
     schema = da.fit_schema(ds, max_bins=32)
     paired = da.train_paired(ds, plan=plan, config=config, schema=schema)
-    return paired, ds
+    return paired
 
 
 class TestErrorPairs:
     def test_counts_and_fold_assignment(self):
-        paired, ds = hidden_pipeline(1.0, hidden=True, n_rows=600)
-        pairs = error_pairs(paired, ds)
-        fold_of = np.full(ds.n_rows, -1)
+        paired = hidden_pipeline(1.0, hidden=True, n_rows=600)
+        pairs = error_pairs(paired)
+        fold_of = np.full(paired.data.n_rows, -1)
         for k in reversed(range(paired.plan.K)):
             fold_of[paired.plan.test[k]] = k
         assert pairs.n_pairs == int(np.sum(fold_of >= 0))
         assert pairs.n_excluded_never_held_out == int(np.sum(fold_of < 0))
-        assert pairs.n_pairs + pairs.n_excluded_never_held_out == ds.n_rows
+        assert pairs.n_pairs + pairs.n_excluded_never_held_out == paired.data.n_rows
         assert np.all(pairs.fold_ids >= 0)
         assert np.all(pairs.mimic_error >= 0) and np.all(pairs.outcome_error >= 0)
 
     def test_row_in_two_folds_scored_by_lowest(self):
-        paired, ds = hidden_pipeline(1.0, hidden=True, n_rows=600)
+        paired = hidden_pipeline(1.0, hidden=True, n_rows=600)
         both = set(paired.plan.test[0]) & set(paired.plan.test[1])
         if not both:
             pytest.skip("seed produced disjoint test folds")
         row = min(both)
-        pairs = error_pairs(paired, ds)
-        fold_of = np.full(ds.n_rows, -1)
+        pairs = error_pairs(paired)
+        fold_of = np.full(paired.data.n_rows, -1)
         for k in reversed(range(paired.plan.K)):
             fold_of[paired.plan.test[k]] = k
         held = np.flatnonzero(fold_of >= 0)
@@ -314,20 +316,22 @@ class TestErrorPairs:
         assert pairs.fold_ids[np.searchsorted(held, row)] == 0
 
     def test_score_only_rows_excluded(self):
-        paired, ds = hidden_pipeline(1.0, hidden=True, n_rows=600)
+        paired = hidden_pipeline(1.0, hidden=True, n_rows=600)
+        ds = paired.data
         outcome = ds.outcome.copy()
         outcome[::3] = np.nan
         masked = da.AuditDataset.from_arrays(
             {n: ds.columns[n] for n in ds.feature_names}, score=ds.score, outcome=outcome
         )
-        pairs = error_pairs(paired, masked)
+        remasked = da.train_paired(masked, plan=paired.plan, config=paired.config, schema=paired.schema)
+        pairs = error_pairs(remasked)
         assert pairs.n_excluded_score_only > 0
-        full = error_pairs(paired, ds)
+        full = error_pairs(paired)
         assert pairs.n_pairs < full.n_pairs
 
     def test_csv_round_trip_and_header_check(self, tmp_path):
-        paired, ds = hidden_pipeline(1.0, hidden=True, n_rows=600)
-        pairs = error_pairs(paired, ds)
+        paired = hidden_pipeline(1.0, hidden=True, n_rows=600)
+        pairs = error_pairs(paired)
         path = tmp_path / "pairs.csv"
         pairs.to_csv(path)
         loaded = load_error_pairs_csv(path)
@@ -350,15 +354,15 @@ class TestErrorPairs:
 
 class TestHiddenFeatureDetection:
     def test_hidden_input_detected_and_control_clear(self):
-        paired, ds = hidden_pipeline(2.0, hidden=True)
-        pairs = error_pairs(paired, ds)
+        paired = hidden_pipeline(2.0, hidden=True)
+        pairs = error_pairs(paired)
         result = da.correlation_test(pairs.mimic_error, pairs.outcome_error, resamples=400)
         assert result.pearson.lower > 0
         assert result.spearman.lower > 0
         assert result.kendall.lower > 0
 
-        paired, ds = hidden_pipeline(2.0, hidden=False)
-        pairs = error_pairs(paired, ds)
+        paired = hidden_pipeline(2.0, hidden=False)
+        pairs = error_pairs(paired)
         control = da.correlation_test(pairs.mimic_error, pairs.outcome_error, resamples=400)
         assert control.pearson.lower < result.pearson.lower
         assert control.pearson.estimate < 0.1
@@ -366,18 +370,8 @@ class TestHiddenFeatureDetection:
     def test_correlation_monotone_in_hidden_strength(self):
         estimates = []
         for strength in (0.5, 1.0, 2.0):
-            paired, ds = hidden_pipeline(strength, hidden=True, seed=11)
-            pairs = error_pairs(paired, ds)
+            paired = hidden_pipeline(strength, hidden=True, seed=11)
+            pairs = error_pairs(paired)
             r = da.correlation_test(pairs.mimic_error, pairs.outcome_error, resamples=200)
             estimates.append(r.spearman.estimate)
         assert estimates[0] < estimates[1] < estimates[2]
-
-    def test_row_count_mismatch_rejected(self):
-        paired, ds = hidden_pipeline(1.0, hidden=True, n_rows=600)
-        shorter = da.AuditDataset.from_arrays(
-            {n: ds.columns[n][:-1] for n in ds.feature_names},
-            score=ds.score[:-1],
-            outcome=ds.outcome[:-1],
-        )
-        with pytest.raises(da.DataError):
-            error_pairs(paired, shorter)
