@@ -87,9 +87,11 @@ class _Stage:
     """The pipeline stage an error belongs to, and the time and peak memory
     of every stage so far. Entering a stage again adds to its seconds; its
     peak is the largest at the end of its visits, of the process that did
-    the work: the main process, or the worker of a task it waited for."""
+    the work: the main process, or the worker of a task it waited for.
+    ``started_unix`` is when the command started, for ``run_meta.json``."""
 
     def __init__(self) -> None:
+        self.started_unix = time.time()
         self.name = "startup"
         self.started = time.perf_counter()
         self.finished: list[dict] = []
@@ -194,11 +196,10 @@ def _calibration_stage(data, mode: str, out_dir: Path, stage: _Stage):
 
 
 def cmd_calibrate(args, stage: _Stage) -> int:
-    started = time.time()
     data, _, _ = _load_dataset(args, stage)
     out_dir = Path(args.out)
     decision, _, cmap = _calibration_stage(data, args.calibration, out_dir, stage)
-    _write_run_meta(out_dir, started, stage)
+    _write_run_meta(out_dir, stage)
     applied = "calibrated" if decision["applied"] else "not calibrated"
     print(f"calibration: {applied} ({decision['reason']})")
     if cmap is not None:
@@ -207,20 +208,19 @@ def cmd_calibrate(args, stage: _Stage) -> int:
 
 
 def cmd_audit(args, stage: _Stage) -> int:
-    started = time.time()
     data, load_cfg, train_cfg = _load_dataset(args, stage)
     out_dir = Path(args.out)
     result = run_audit(
         data, out_dir, load_cfg, train_cfg,
         calibration=args.calibration, K=args.K, L=args.L, jobs=args.jobs, stage=stage,
     )
-    _write_run_meta(out_dir, started, stage, jobs=args.jobs)
+    _write_run_meta(out_dir, stage, jobs=args.jobs)
 
     for fm in result.fidelities:
         auc_txt = "n/a" if fm.outcome_auc_mean is None else f"{fm.outcome_auc_mean:.4f}"
         print(f"{fm.name}: score RMSE {fm.score_rmse_mean:.4f}, outcome AUC {auc_txt}")
-    if "verdict" in result.missing:
-        print(f"missing-feature test: {result.missing['verdict']}")
+    verdict = result.missing.get("verdict") or f"skipped ({result.missing['skipped']})"
+    print(f"missing-feature test: {verdict}")
     top = result.summary.ranking[0] if result.summary.ranking else None
     if top and top[1] > 0:
         print(f"largest discrepancy: {top[0]} ({top[1]:.4f})")
@@ -286,17 +286,17 @@ def run_audit(
     # compares the ensembles and writes the curves and plots. With jobs=1
     # each task runs when submitted, in the serial order.
     stage.at("baseline")
-    with TaskPool(_TailInputs(final, out_dir), jobs) as pool:
-        baseline = pool.submit(_measured, _baseline_task)
+    with TaskPool(final, jobs) as pool:
+        baseline = pool.submit(_measured, _baseline_task, out_dir)
 
         stage.at("compare")
         summary = summarize(final)
 
         stage.at("missing-test")
-        missing = pool.submit(_measured, _missing_test_task)
+        missing = pool.submit(_measured, _missing_test_task, out_dir)
 
         stage.at("report")
-        models = pool.submit(_measured, _models_task)
+        models = pool.submit(_measured, _models_task, out_dir)
         artifacts = write_comparison_artifacts(out_dir, summary)
 
         linear_fidelity, linear_models = stage.wait("baseline", baseline)
@@ -325,45 +325,38 @@ def run_audit(
     return AuditResult(decision, final, summary, fidelities, missing_json)
 
 
-class _TailInputs(NamedTuple):
-    """What the post-training tasks of an audit share."""
-
-    final: PairedEnsembles
-    out_dir: Path
-
-
-def _measured(tail: _TailInputs, task):
+def _measured(final: PairedEnsembles, task, out_dir: Path):
     """``task``'s result and the peak resident set of the process that ran it."""
-    return task(tail), _max_rss_mib()
+    return task(final, out_dir), _max_rss_mib()
 
 
-def _baseline_task(tail: _TailInputs):
+def _baseline_task(final: PairedEnsembles, out_dir: Path):
     """Linear bags over the audit's plan: their fold metrics and model file names."""
-    final = tail.final
     bags = train_linear_bags(final.data, final.plan, final.calibration, final.schema)
-    return linear_fold_metrics(bags), bags.save_models(tail.out_dir / "models")
+    return linear_fold_metrics(bags), bags.save_models(out_dir / "models")
 
 
-def _missing_test_task(tail: _TailInputs) -> dict:
+def _missing_test_task(final: PairedEnsembles, out_dir: Path) -> dict:
     """The report's missing-feature section: the test of the held-out error
     pairs, or why it was skipped. The pairs go to error_pairs.csv."""
-    pairs = error_pairs(tail.final)
+    pairs = error_pairs(final)
     try:
-        missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=tail.final.plan.seed).to_json_dict()
+        missing_json = correlation_test(pairs.mimic_error, pairs.outcome_error, seed=final.plan.seed).to_json_dict()
     except DegenerateStatisticsError as exc:
         missing_json = {"skipped": str(exc)}
     missing_json["n_excluded_never_held_out"] = pairs.n_excluded_never_held_out
     missing_json["n_excluded_score_only"] = pairs.n_excluded_score_only
-    pairs.to_csv(tail.out_dir / "error_pairs.csv")
+    pairs.to_csv(out_dir / "error_pairs.csv")
     return missing_json
 
 
-def _models_task(tail: _TailInputs) -> list[str]:
-    return save_all_models(tail.out_dir, tail.final)
+def _models_task(final: PairedEnsembles, out_dir: Path) -> list[str]:
+    # A cli function, not save_all_models itself: a tracer that wraps the
+    # names cli imports would hand the pool a wrapper that does not pickle.
+    return save_all_models(out_dir, final)
 
 
 def cmd_test_missing(args, stage: _Stage) -> int:
-    started = time.time()
     stage.at("config")
     check_resamples(args.resamples)
     check_seed(args.seed)
@@ -376,7 +369,7 @@ def cmd_test_missing(args, stage: _Stage) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(out_dir / "missing_test.json", result.to_json_dict())
-    _write_run_meta(out_dir, started, stage)
+    _write_run_meta(out_dir, stage)
     for name, iv in (("pearson", result.pearson), ("spearman", result.spearman), ("kendall", result.kendall)):
         print(f"{name}: {iv.estimate:.4f} [{iv.lower:.4f}, {iv.upper:.4f}]")
     print(f"verdict: {result.verdict}")
@@ -403,15 +396,15 @@ def cmd_gen_synthetic(args, stage: _Stage) -> int:
     return 0
 
 
-def _write_run_meta(out_dir: Path, started: float, stage: _Stage, **extra) -> None:
+def _write_run_meta(out_dir: Path, stage: _Stage, **extra) -> None:
     """Write run_meta.json: when the run ran and, per stage, its wall seconds
     and the process's peak resident set at its end (``max_rss_mib``), so the
     first stage that reaches the final value is the one that set the peak."""
     meta = {
         "package_version": __version__,
-        "started_unix": started,
+        "started_unix": stage.started_unix,
         "finished_unix": time.time(),
-        "duration_seconds": time.time() - started,
+        "duration_seconds": time.time() - stage.started_unix,
         "stages": stage.close(),
     }
     meta.update(extra)

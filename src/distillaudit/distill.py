@@ -263,12 +263,6 @@ class _BagData:
 _FAMILIES = (LOGISTIC, IDENTITY)
 
 
-def _without_schema(model: AdditiveModel) -> dict:
-    """A model's fields but its schema; ``AdditiveModel(schema=s, **fields)``
-    rebuilds it against ``s``."""
-    return {name: value for name, value in vars(model).items() if name != "schema"}
-
-
 def _fit_bag(data: _BagData, link: str, k: int, l: int) -> dict:
     """Fit bag (k, l) of one family: main effects, or the pair grids on top
     of that bag's model in ``data.mains``. Returns the fitted model without
@@ -285,7 +279,8 @@ def _fit_bag(data: _BagData, link: str, k: int, l: int) -> dict:
         model = train_regressor(X, y, data.config, validation=local_valid)
     else:
         model = train_classifier(X, y, data.config, validation=local_valid)
-    return _without_schema(model)
+    # Models cross the pool without their schema; _fit_grid rebuilds them.
+    return {name: value for name, value in vars(model).items() if name != "schema"}
 
 
 _worker_shared = None  # set in pool workers only, by _init_worker

@@ -41,9 +41,9 @@ def data_fingerprint(data: AuditDataset) -> str:
         if kind == "numeric":
             h.update(np.ascontiguousarray(col, dtype=np.float64).tobytes())
         else:
-            for v in col:
-                h.update(b"\x00" if v is None else v.encode())
-                h.update(b"\x1f")
+            for v in col:  # 0xfe marks a missing value, 0xff ends each; UTF-8 emits neither byte
+                h.update(b"\xfe" if v is None else v.encode())
+                h.update(b"\xff")
     h.update(np.ascontiguousarray(data.score, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(data.outcome, dtype=np.float64).tobytes())
     return h.hexdigest()
@@ -65,19 +65,6 @@ def write_curve_csv(path: str | Path, fc: FeatureComparison) -> None:
         rows.append(",".join([*cells, str(bool(fc.diff.significant[b])).lower()]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-def write_feature_plot(path: str | Path, fc: FeatureComparison) -> None:
-    svg.shape_chart(
-        path,
-        f"feature: {fc.feature}",
-        fc.bin_labels,
-        fc.bin_mass,
-        [
-            ("mimic", svg.MIMIC_COLOR, fc.mimic.mean, fc.mimic.lower, fc.mimic.upper),
-            ("outcome", svg.OUTCOME_COLOR, fc.outcome.mean, fc.outcome.lower, fc.outcome.upper),
-        ],
-    )
 
 
 def write_calibration_plots(
@@ -119,7 +106,16 @@ def write_comparison_artifacts(out_dir: str | Path, summary: ComparisonSummary) 
         base = _safe_name(j, fc.feature)
         write_curve_csv(curves_dir / f"{base}.csv", fc)
         written["curves"].append(f"curves/{base}.csv")
-        write_feature_plot(plots_dir / f"{base}.svg", fc)
+        svg.shape_chart(
+            plots_dir / f"{base}.svg",
+            f"feature: {fc.feature}",
+            fc.bin_labels,
+            fc.bin_mass,
+            [
+                ("mimic", svg.MIMIC_COLOR, fc.mimic.mean, fc.mimic.lower, fc.mimic.upper),
+                ("outcome", svg.OUTCOME_COLOR, fc.outcome.mean, fc.outcome.lower, fc.outcome.upper),
+            ],
+        )
         written["plots"].append(f"plots/{base}.svg")
     for sc in summary.surfaces:
         base = f"surface_{sc.i:02d}_{sc.j:02d}"

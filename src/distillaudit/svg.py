@@ -45,10 +45,6 @@ class _Canvas:
     """Pixel-space drawing surface with a fixed data-to-pixel transform."""
 
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-        if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
         self.parts: list[str] = [

@@ -223,6 +223,18 @@ class TestAudit:
         assert report["comparison"]["surfaces"] == []
         assert not any("surface" in p for p in report["artifacts"]["plots"])
 
+    def test_skipped_missing_test_is_printed(self, tmp_path, capsys):
+        data, _ = da.gen_partial_use(n_rows=300, seed=3, n_features=4, n_used=2)
+        outcome = np.where(np.random.default_rng(0).random(300) < 0.35, data.outcome, np.nan)
+        path = tmp_path / "data.csv"
+        da.AuditDataset(data.feature_names, data.feature_kinds, data.columns, data.score, outcome).to_csv(path)
+        out = tmp_path / "out"
+        assert run(["audit", "--data", str(path), "--K", "2", "--L", "2", "--out", str(out)]) == 0
+        reason = "need at least 30 error pairs, got 21"
+        assert f"missing-feature test: skipped ({reason})" in capsys.readouterr().out.splitlines()
+        assert json.loads((out / "report.json").read_text())["missing_feature_test"]["skipped"] == reason
+        assert (out / "error_pairs.csv").is_file()
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         data = tmp_path / "data.csv"
         run(["gen-synthetic", "--kind", "kinked-score", "--rows", "700", "--out", str(data)])
@@ -307,6 +319,34 @@ if __name__ == "__main__":
         assert run(["audit", "--data", str(data), "--K", "2", "--L", "2", "--jobs", "2", "--out", str(out)]) == 0
         missing = json.loads((out / "report.json").read_text())["missing_feature_test"]
         assert missing["skipped"].startswith("need at least 30 error pairs")
+
+
+    def test_categorical_and_constant_features(self, tmp_path):
+        data, _ = da.gen_partial_use(n_rows=1500, seed=1, n_features=4, n_used=2)
+        rng = np.random.default_rng(0)
+        colour = rng.choice(np.array(["red", "green", "blue"], dtype=object), 1500)
+        colour[rng.random(1500) < 0.05] = None
+        table = da.AuditDataset(
+            data.feature_names + ("colour", "const"), data.feature_kinds + ("categorical", "numeric"),
+            {**data.columns, "colour": colour, "const": np.full(1500, 2.0)}, data.score, data.outcome,
+        )
+        path = tmp_path / "data.csv"
+        table.to_csv(path)
+        cfg = small_train_config(tmp_path)
+        for jobs in ("1", "2"):
+            assert run(["audit", "--data", str(path), "--config", str(cfg), "--K", "3", "--L", "2",
+                        "--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+        out = tmp_path / "jobs1"
+        report = json.loads((out / "report.json").read_text())
+        bins = {f["feature"]: f["bins"] for f in report["comparison"]["features"]}
+        expected = {"colour": ["blue", "green", "red", "(missing)"], "const": ["(all)", "(missing)"]}
+        for j, (name, labels) in enumerate(expected.items(), start=4):
+            assert bins[name] == labels
+            with open(out / "curves" / f"{j:02d}_{name}.csv", newline="") as fh:
+                assert [row["bin"] for row in csv.DictReader(fh)] == labels
+            assert f"plots/{j:02d}_{name}.svg" in report["artifacts"]["plots"]
+        assert (out / "plots" / "04_colour.svg").is_file()
+        assert tree_bytes(tmp_path / "jobs2") == tree_bytes(out)
 
 
 class TestRunAudit:

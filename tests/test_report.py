@@ -181,6 +181,24 @@ class TestFingerprint:
         )
         assert data_fingerprint(ds) != data_fingerprint(bumped)
 
+    def test_numeric_tables_keep_their_fingerprint(self):
+        # the benchmark's stored references record fingerprints of numeric tables
+        ds = da.AuditDataset(("x",), ("numeric",), {"x": np.array([0.5, np.nan])}, np.array([1.0, 2.0]),
+                             np.array([0.0, np.nan]))
+        assert data_fingerprint(ds) == "38c3f666a7c005f808e4b4c620a1ad87e696dd139fd65dbf8cbdff8c06b74a9c"
+
+    @pytest.mark.parametrize("left, right", [
+        (["a\x1fb", "c"], ["a", "b\x1fc"]),
+        ([None, "x"], ["\x00", "x"]),
+        (["ab", "c"], ["a", "bc"]),
+    ])
+    def test_categorical_values_do_not_run_together(self, left, right):
+        def table(values):
+            return da.AuditDataset(("colour",), ("categorical",), {"colour": np.array(values, dtype=object)},
+                                   np.zeros(2), np.zeros(2))
+
+        assert data_fingerprint(table(left)) != data_fingerprint(table(right))
+
 
 class TestNames:
     def test_safe_name_strips_awkward_characters(self):
