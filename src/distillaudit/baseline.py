@@ -22,7 +22,7 @@ from .calibrate import CalibrationMap
 from .data import NUMERIC, AuditDataset, FeatureSchema, fit_schema
 from .distill import BagEnsemble, BagPlan, FidelityMetrics, bag_split, check_bags, fold_fidelity, mimic_targets
 from .errors import DataError, TrainingError
-from .gam import IDENTITY, LOGISTIC, _checked_targets
+from .gam import IDENTITY, LOGISTIC, check_targets
 from .stats import mean_nll, sigmoid
 
 MAX_IRLS_ITERATIONS = 100
@@ -155,7 +155,7 @@ def train_linear(
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DataError("design matrix must be two-dimensional")
-    y = _checked_targets(targets, A.shape[0], link == LOGISTIC)
+    y = check_targets(targets, A.shape[0], link == LOGISTIC)
     if l2 < 0.0:
         raise DataError("l2 must be non-negative")
     columns = columns or [f"x{i}" for i in range(A.shape[1])]

@@ -55,7 +55,7 @@ from .gam import TrainConfig
 from .missing import DEFAULT_RESAMPLES, check_resamples, correlation_test, error_pairs, load_error_pairs_csv
 from .compare import ComparisonSummary, summarize
 from .report import (
-    build_report,
+    data_fingerprint,
     save_all_models,
     write_calibration_plots,
     write_comparison_artifacts,
@@ -94,7 +94,7 @@ class _Stage:
         self.started_unix = time.time()
         self.name = "startup"
         self.started = time.perf_counter()
-        self.finished: list[dict] = []
+        self.finished: dict[str, dict] = {}
         self.task_peak = None
 
     def at(self, name: str) -> None:
@@ -105,16 +105,13 @@ class _Stage:
         """End the current stage; returns every stage ended, by first entry."""
         now = time.perf_counter()
         peak = _max_rss_mib() if self.task_peak is None else self.task_peak
-        entry = next((e for e in self.finished if e["name"] == self.name), None)
-        if entry is None:
-            self.finished.append({"name": self.name, "seconds": now - self.started, "max_rss_mib": peak})
-        else:
-            entry["seconds"] += now - self.started
-            if peak is not None:
-                entry["max_rss_mib"] = max(entry["max_rss_mib"], peak)
+        entry = self.finished.setdefault(self.name, {"name": self.name, "seconds": 0.0, "max_rss_mib": peak})
+        entry["seconds"] += now - self.started
+        if peak is not None:
+            entry["max_rss_mib"] = max(entry["max_rss_mib"], peak)
         self.started = now
         self.task_peak = None
-        return self.finished
+        return list(self.finished.values())
 
     def wait(self, name: str, future):
         """The result of a :func:`_measured` task, waited for in its stage
@@ -150,13 +147,13 @@ def _load_dataset(args, stage: _Stage):
         check_bag_grid(args.K, args.L)
     load_dict, train_dict = _read_config_file(args.config)
     if "seed" in train_dict:
-        raise ConfigError("the train section takes no seed; --seed sets it")
+        raise ConfigError("the train section takes no seed; audit --seed sets it")
     if args.score_col is not None:
         load_dict["score_column"] = args.score_col
     if args.outcome_col is not None:
         load_dict["outcome_column"] = args.outcome_col
     load_cfg = LoadConfig.from_dict(load_dict)
-    train_dict["seed"] = args.seed
+    train_dict["seed"] = getattr(args, "seed", 0)
     if getattr(args, "pairs", None) is not None:
         train_dict["n_pairs"] = args.pairs
     train_cfg = TrainConfig.from_dict(train_dict)
@@ -307,20 +304,32 @@ def run_audit(
     artifacts["models"] = [f"models/{n}" for n in sorted(gam_models + linear_models)]
     artifacts["calibration"] = ["calibration.json", "calibration_diagnostics.csv"]
     artifacts["error_pairs"] = ["error_pairs.csv"]
-    config_echo = {
-        "data": data.meta.get("source"),
-        "calibration": calibration,
-        "K": K,
-        "L": L,
-        "seed": train_config.seed,
-        "max_bins": load_config.max_bins,
-        "score_column": load_config.score_column,
-        "outcome_column": load_config.outcome_column,
-        "train": {f: getattr(train_config, f) for f in TrainConfig.__dataclass_fields__},
+    report = {
+        "format_version": 1,
+        "run": {
+            "config": {
+                "data": data.meta.get("source"),
+                "calibration": calibration,
+                "K": K,
+                "L": L,
+                "seed": train_config.seed,
+                "max_bins": load_config.max_bins,
+                "score_column": load_config.score_column,
+                "outcome_column": load_config.outcome_column,
+                "train": vars(train_config),
+            },
+            "data_fingerprint": data_fingerprint(data),
+            "n_rows": data.n_rows,
+            "n_features": data.n_features,
+            "n_score_only_rows": data.n_score_only,
+            "rejected_rows": data.meta.get("rejected_rows", 0),
+        },
+        "calibration": {"decision": decision, "diagnostics": diag_raw.to_json_dict()},
+        "fidelity": [fm.to_json_dict() for fm in fidelities],
+        "comparison": summary.to_json_dict(),
+        "missing_feature_test": missing_json,
+        "artifacts": artifacts,
     }
-    report = build_report(
-        data, config_echo, decision, diag_raw, summary, fidelities, missing_json, artifacts
-    )
     write_report(out_dir, report)
     return AuditResult(decision, final, summary, fidelities, missing_json)
 
@@ -400,11 +409,12 @@ def _write_run_meta(out_dir: Path, stage: _Stage, **extra) -> None:
     """Write run_meta.json: when the run ran and, per stage, its wall seconds
     and the process's peak resident set at its end (``max_rss_mib``), so the
     first stage that reaches the final value is the one that set the peak."""
+    finished_unix = time.time()
     meta = {
         "package_version": __version__,
         "started_unix": stage.started_unix,
-        "finished_unix": time.time(),
-        "duration_seconds": time.time() - stage.started_unix,
+        "finished_unix": finished_unix,
+        "duration_seconds": finished_unix - stage.started_unix,
         "stages": stage.close(),
     }
     meta.update(extra)
@@ -416,7 +426,6 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file (load/train sections)")
     p.add_argument("--score-col", default=None, help="score column name (default: score)")
     p.add_argument("--outcome-col", default=None, help="outcome column name (default: outcome)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the bag plan and the missing-feature bootstrap")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -436,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the full distillation audit")
     _add_dataset_flags(p_audit)
     p_audit.add_argument("--calibration", choices=CALIBRATION_MODES, default="auto")
+    p_audit.add_argument("--seed", type=int, default=0, help="seed for the bag plan and the missing-feature bootstrap")
     p_audit.add_argument("--K", type=int, default=5, help="outer folds")
     p_audit.add_argument("--L", type=int, default=5, help="inner bags per fold")
     p_audit.add_argument("--pairs", type=int, default=None, help="pairwise grids to fit (default: train.n_pairs or 0)")

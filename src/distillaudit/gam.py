@@ -146,6 +146,8 @@ class AdditiveModel:
 
     def decision(self, X: BinnedMatrix) -> np.ndarray:
         """Additive score before the link: intercept + shape and grid lookups."""
+        if X.schema != self.schema:
+            raise DataError("the matrix was binned under another schema than the model's")
         out = np.full(X.n_rows, self.intercept)
         for j, h in enumerate(self.shapes):
             out += h[X.column(j)]
@@ -298,7 +300,7 @@ def _split_rows(n_rows: int, validation) -> tuple[np.ndarray, np.ndarray | None]
 def _fit_rows(X: BinnedMatrix, targets, validation, logistic: bool):
     """A fit's checked targets, training and validation rows, and their codes
     as one contiguous ``intp`` row per feature."""
-    y = _checked_targets(targets, X.n_rows, logistic)
+    y = check_targets(targets, X.n_rows, logistic)
     train_rows, valid_rows = _split_rows(X.n_rows, validation)
     Cv = None if valid_rows is None else X.take(valid_rows).codes.T.astype(np.intp)
     return y, train_rows, valid_rows, X.take(train_rows).codes.T.astype(np.intp), Cv
@@ -315,7 +317,7 @@ def _center_shapes(shapes: list[np.ndarray], counts: list[np.ndarray]) -> float:
     return shift
 
 
-def _checked_targets(targets, n_rows: int, logistic: bool) -> np.ndarray:
+def check_targets(targets, n_rows: int, logistic: bool) -> np.ndarray:
     """Targets as floats: one per row, finite, and 0 or 1 for a logistic fit."""
     y = np.asarray(targets, dtype=float)
     if len(y) != n_rows:

@@ -1,4 +1,6 @@
-"""Audit run artifacts: report JSON, curve CSVs, plots, serialized models.
+"""The files an audit writes: curve CSVs, plots, serialized models, and
+``report.json``, whose sections :func:`distillaudit.cli.run_audit` assembles
+next to the values they hold.
 
 A run directory is evidence: every number in ``report.json`` traces back to
 a serialized model under ``models/`` plus the input data, and the JSON is
@@ -26,9 +28,7 @@ from . import svg
 from .calibrate import CalibrationDiagnostics
 from .compare import ComparisonSummary, FeatureComparison
 from .data import AuditDataset, dump_json
-from .distill import FidelityMetrics, PairedEnsembles
-
-FORMAT_VERSION = 1
+from .distill import PairedEnsembles
 
 
 def data_fingerprint(data: AuditDataset) -> str:
@@ -130,37 +130,6 @@ def write_comparison_artifacts(out_dir: str | Path, summary: ComparisonSummary) 
             )
             written["plots"].append(f"plots/{name}")
     return written
-
-
-def build_report(
-    data: AuditDataset,
-    config_echo: dict,
-    calibration_decision: dict,
-    diagnostics: CalibrationDiagnostics,
-    summary: ComparisonSummary,
-    fidelities: list[FidelityMetrics],
-    missing_test: dict | None,
-    artifacts: dict[str, list[str]],
-) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "run": {
-            "config": config_echo,
-            "data_fingerprint": data_fingerprint(data),
-            "n_rows": data.n_rows,
-            "n_features": data.n_features,
-            "n_score_only_rows": data.n_score_only,
-            "rejected_rows": data.meta.get("rejected_rows", 0),
-        },
-        "calibration": {
-            "decision": calibration_decision,
-            "diagnostics": diagnostics.to_json_dict(),
-        },
-        "fidelity": [fm.to_json_dict() for fm in fidelities],
-        "comparison": summary.to_json_dict(),
-        "missing_feature_test": missing_test,
-        "artifacts": artifacts,
-    }
 
 
 def write_report(out_dir: str | Path, report: dict) -> Path:

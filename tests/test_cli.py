@@ -138,6 +138,15 @@ class TestCalibrate:
         assert "warning" in blob
         assert "warning" in captured.err.lower()
 
+    def test_seed_is_a_usage_error(self, tmp_path, capsys):
+        """calibrate draws nothing at random, so it takes no --seed."""
+        data = write_kinked(tmp_path, rows=600)
+        with pytest.raises(SystemExit) as exc:
+            run(["calibrate", "--data", str(data), "--seed", "1", "--out", str(tmp_path / "cal")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "cal").exists()
+
 
 @pytest.fixture(scope="module")
 def audit_run(tmp_path_factory):
@@ -187,6 +196,29 @@ class TestAudit:
             assert s["seconds"] >= 0.0
         peaks = [s["max_rss_mib"] for s in stages]
         assert peaks[0] > 0.0 and peaks == sorted(peaks)
+
+    def test_run_meta_duration_is_finish_minus_start(self, audit_run):
+        _, out = audit_run
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["duration_seconds"] == meta["finished_unix"] - meta["started_unix"]
+
+    def test_every_report_section_has_a_readme_row(self, audit_run):
+        """README's "Audit outputs" table names each top-level key of
+        report.json and each leaf under ``run``, with ``run.config.train`` as
+        one row for the TrainConfig fields; no row names a key the report lacks."""
+        _, out = audit_run
+        report = json.loads((out / "report.json").read_text())
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Audit outputs\n", 1)[1].split("\n## ", 1)[0]
+        rows = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+
+        def leaves(prefix, node):
+            if prefix == "run.config.train" or not isinstance(node, dict):
+                return {prefix}
+            return set().union(*(leaves(f"{prefix}.{key}", value) for key, value in node.items()))
+
+        assert set(report["run"]["config"]["train"]) == set(da.TrainConfig.__dataclass_fields__)
+        assert rows == set(report) | leaves("run", report["run"])
 
     def test_curve_csv_parses(self, audit_run):
         _, out = audit_run

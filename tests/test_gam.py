@@ -256,6 +256,23 @@ class TestModelObject:
             manual += h[X.column(j)]
         np.testing.assert_array_equal(model.decision(X), manual)
 
+    def test_matrix_binned_under_another_schema_is_refused(self):
+        ds, _ = da.gen_partial_use(n_rows=1000, seed=0)
+        X32 = da.bin_dataset(ds, da.fit_schema(ds, max_bins=32))
+        X8 = da.bin_dataset(ds, da.fit_schema(ds, max_bins=8))
+        cfg = da.TrainConfig(learning_rate=0.3, max_rounds=30)
+        model = da.train_regressor(X32, ds.score, cfg)
+        for use in (
+            lambda: model.predict(X8),
+            lambda: da.rank_interaction_pairs(model, X8, ds.score),
+            lambda: da.fit_interactions(model, X8, ds.score, [(0, 1)], cfg),
+        ):
+            with pytest.raises(da.DataError, match="another schema"):
+                use()
+        # a schema fitted again from the same table and bin cap is equal, so it is the model's own
+        X32_again = da.bin_dataset(ds, da.fit_schema(ds, max_bins=32))
+        np.testing.assert_array_equal(model.predict(X32_again), model.predict(X32))
+
     def test_contribution_lookup(self):
         model, _ = self.make_model()
         np.testing.assert_array_equal(model.contribution("x1"), model.shapes[1])
